@@ -11,7 +11,7 @@ export PYTHONPATH
 # Makefile benefits from parallel make, so pin the whole file serial.
 .NOTPARALLEL:
 
-.PHONY: help test test-fault test-evolution test-replication bench bench-all bench-chase-bulk-tiny bench-weak bench-weak-tiny bench-weak-deletes bench-weak-deletes-tiny bench-weak-local bench-weak-local-tiny bench-query bench-query-tiny bench-serve bench-serve-tiny bench-replication bench-replication-tiny bench-evolution bench-evolution-tiny profile-chase docs clean
+.PHONY: help test test-fault test-evolution test-replication loc bench bench-all bench-chase-bulk-tiny bench-weak bench-weak-tiny bench-weak-deletes bench-weak-deletes-tiny bench-weak-local bench-weak-local-tiny bench-query bench-query-tiny bench-serve bench-serve-tiny bench-replication bench-replication-tiny bench-evolution bench-evolution-tiny profile-chase docs clean
 
 help:
 	@echo "targets:"
@@ -19,6 +19,7 @@ help:
 	@echo "  test-fault              - durability suite: WAL/snapshot units, crash-point recovery matrix, I/O-fault isolation (quarantine/repair), server concurrency (includes slow stress tests)"
 	@echo "  test-evolution          - schema-evolution suite: op catalog, incremental re-check vs full analysis, online migration oracles, migration crash-point recovery matrix"
 	@echo "  test-replication        - replication suite: WAL shipping/anti-entropy units, exactly-once sessions, kill-and-failover matrix under concurrent load"
+	@echo "  loc                     - design-size measures: per-module line counts of src/repro/weak and the named parameters of each public service constructor"
 	@echo "  bench                   - all benchmarks; regenerates BENCH_chase.json, BENCH_weak.json and benchmarks/results.txt"
 	@echo "  bench-all               - every bench suite, strictly one after another (single recipe, immune to -j)"
 	@echo "  bench-chase-bulk-tiny   - bulk-kernel vs indexed engine at smoke scale (CI gate: >=2x)"
@@ -62,6 +63,13 @@ test-evolution:
 # kill-and-failover matrix under concurrent server load.
 test-replication:
 	$(PYTHON) -m pytest tests/test_replication.py tests/test_replication_recovery.py -q
+
+# The two "quality of design" measures ROADMAP tracks: how many lines
+# src/repro/weak holds, module by module, and how many named knobs each
+# public service constructor takes (an alias of another class is listed
+# under its own name but counted once in the total).
+loc:
+	$(PYTHON) tools/loc.py
 
 # bench_* files are not collected by the default pytest run, so name them.
 bench:

@@ -72,13 +72,16 @@ status (serving / degraded / quarantined) and, under ``--workers``,
 queue depths; ``repair <scheme>`` rebuilds one quarantined shard
 online from its newest good snapshot generation plus WAL replay.
 
-``--replicas N`` (with ``--durable``) ships every shard's WAL to N
-replica stores (sibling directories by default, ``--replica-root`` to
-place them); a persistently quarantined shard fails over to its
-most-caught-up replica automatically, the ``failover``/``rejoin`` ops
-drive the lifecycle by hand, and ``health`` shows the current primary
-plus per-replica lag.  ``--async-ship`` trades the on-every-replica
-ack guarantee for commit latency.
+``--replicas N`` (with ``--durable``) gives the same durable service a
+list of N replica stores (sibling directories by default,
+``--replica-root`` to place them) and ships every shard's WAL to them;
+a persistently quarantined shard fails over to its most-caught-up
+replica automatically, the ``failover``/``rejoin`` ops drive the
+lifecycle by hand (without replicas they report a typed
+``NoPromotableReplicaError``/``ReplicationError`` line), and
+``health`` shows the current primary plus per-replica lag.
+``--async-ship`` trades the on-every-replica ack guarantee for commit
+latency.
 
 ``verify-store DIR`` scrubs a durable directory offline — every
 snapshot generation's structure and CRC, every WAL frame — and exits
@@ -113,7 +116,6 @@ from repro.query.naive import evaluate_naive
 from repro.report import banner
 from repro.schema.evolution import parse_evolution_op
 from repro.weak.durable import DurableShardedService, verify_store
-from repro.weak.replication import ReplicatedShardedService
 from repro.weak.representative import window
 from repro.weak.server import WeakInstanceServer
 from repro.weak.service import WeakInstanceService
@@ -252,8 +254,8 @@ def _serve_one(
         svc = service.service if isinstance(service, WeakInstanceServer) else service
         if not hasattr(svc, op):
             raise ParseError(
-                f"{op} requires a replicated service (serve --durable DIR "
-                "--replicas N)"
+                f"{op} requires a durable service with replicas (serve "
+                "--durable DIR --replicas N)"
             )
         tokens = rest.split()
         if not tokens:
@@ -271,8 +273,7 @@ def _serve_one(
         after = result["chain_after"]
         return (
             f"rejoin {result['shard']}: {result['label']} caught up "
-            f"({after['rows']} snapshot row(s), {after['frames']} WAL "
-            f"frame(s))"
+            f"({after['rows']} row(s), {after['frames']} WAL frame(s))"
         )
     if op in ("insert", "delete"):
         scheme, _, spec = rest.partition(" ")
@@ -415,24 +416,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
                 return 2
             try:
-                if replica_roots:
-                    service = ReplicatedShardedService(
-                        scenario.schema, scenario.fds, args.durable,
-                        replicas=replica_roots,
-                        sync_ship=not args.async_ship,
-                        report=report,
-                        snapshot_interval=args.snapshot_interval,
-                        auto_commit=args.workers == 0,
-                        bulk_loads=args.bulk_load,
-                    )
-                else:
-                    service = DurableShardedService(
-                        scenario.schema, scenario.fds, args.durable,
-                        report=report,
-                        snapshot_interval=args.snapshot_interval,
-                        auto_commit=args.workers == 0,
-                        bulk_loads=args.bulk_load,
-                    )
+                service = DurableShardedService(
+                    scenario.schema, scenario.fds, args.durable,
+                    report=report,
+                    snapshot_interval=args.snapshot_interval,
+                    auto_commit=args.workers == 0,
+                    replicas=replica_roots,
+                    sync_ship=not args.async_ship,
+                    bulk_loads=args.bulk_load,
+                )
             except (ReproError, OSError) as exc:
                 # a corrupt or unreadable store at open time is an
                 # operator problem, not a traceback: one typed line,
@@ -753,10 +745,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="with --durable: ship every shard's WAL to N replica "
-        "stores (default layout: sibling directories DIR-replica1..N; "
-        "override with --replica-root); a persistently quarantined "
-        "shard fails over to its most-caught-up replica automatically",
+        help="with --durable: give the durable service N replica "
+        "stores and ship every shard's WAL to them (default layout: "
+        "sibling directories DIR-replica1..N; override with "
+        "--replica-root); a persistently quarantined shard fails over "
+        "to its most-caught-up replica automatically (default: 0 — "
+        "the same service with no replicas)",
     )
     p.add_argument(
         "--replica-root",

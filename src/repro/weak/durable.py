@@ -38,8 +38,10 @@ whose atomicity a global log would have to protect.  Concretely:
   inserts and deletes: the last surviving operation on a tuple decides
   its membership, replayed or not).
 * **Recovery.**  Opening an existing directory reads each shard's
-  snapshot, replays the WAL tail (stopping at a torn or corrupt frame
-  and truncating it), and loads the reconstructed state into the
+  chain once — :func:`read_chain`: the newest readable snapshot
+  generation, then the WAL tail replayed over it (stopping at a torn
+  or corrupt frame, which is truncated) — and loads the reconstructed
+  state into the
   sharded service in one atomic :meth:`~repro.weak.sharded.
   ShardedWeakInstanceService.load` — pure set arithmetic plus index
   builds, **no chase**: the shard tableaux and the global composer are
@@ -50,6 +52,18 @@ whose atomicity a global log would have to protect.  Concretely:
   (fsynced) operation, at most every applied one.  Cross-shard, the
   prefixes are independent; Theorem 3 is exactly the license for that
   (any combination of per-shard satisfying states is satisfying).
+
+**One chain, one layout.**  A shard's durable identity is its chain:
+snapshot generations plus a WAL tail behind one :class:`StoreIO`.
+:class:`ShardStore` spells out the layout, :func:`read_chain` reads a
+chain and :func:`_frames` parses frames — for recovery, ``repair``,
+failover, the replica summary and :func:`verify_store` alike.
+
+**Replication.**  Given ``replicas=[...]`` the same service ships every
+fsynced WAL blob and snapshot install to replica :class:`ShardStore`
+targets (:mod:`repro.weak.replication`), and a shard quarantine swaps
+the shard's store for the most-caught-up replica's before the call is
+retried once.  Without replicas a quarantine stands.
 
 **Fault injection.**  Every durability-critical boundary calls the
 optional ``fault_hook`` with a crash-point name (:data:`CRASH_POINTS`)
@@ -133,15 +147,18 @@ operation applies.
 from __future__ import annotations
 
 import errno as _errno
+import functools
 import json
 import logging
 import os
 import pathlib
 import random
+import re
 import shutil
 import struct
 import threading
 import time
+from collections.abc import Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (
@@ -163,6 +180,7 @@ from repro.deps.fd import FD
 from repro.deps.fdset import FDSet
 from repro.exceptions import (
     EvolutionRejectedError,
+    ReplicationError,
     ReproError,
     SessionSequenceError,
     ShardQuarantinedError,
@@ -220,6 +238,8 @@ SCHEMA_LOG_NAME = "schema.log"
 WAL_NAME = "wal.log"
 SNAPSHOT_NAME = "snapshot.json"
 _SNAPSHOT_TMP = "snapshot.json.tmp"
+#: ``snapshot.json`` (generation 0) or ``snapshot.json.<k>``
+_SNAPSHOT_FILE = re.compile(re.escape(SNAPSHOT_NAME) + r"(?:\.([1-9][0-9]*))?")
 _FORMAT = 1
 
 #: frames larger than this never come out of :func:`_encode_record`;
@@ -333,6 +353,22 @@ class DurableServiceStats(ShardedServiceStats):
     session_dedup_hits: int = 0
     #: live entries across every shard's session table
     session_records: int = 0
+    #: WAL frames acknowledged by replicas (counted once per replica)
+    replica_frames_shipped: int = 0
+    #: WAL bytes acknowledged by replicas
+    replica_bytes_shipped: int = 0
+    #: ships a replica refused with an I/O error (target marked behind)
+    replica_ship_failures: int = 0
+    #: anti-entropy catch-ups that shipped a missing WAL suffix
+    replica_catchups: int = 0
+    #: anti-entropy catch-ups that fell back to a full snapshot copy
+    replica_snapshot_copies: int = 0
+    #: snapshot installs shipped to replicas (primary snapshot cycles)
+    replica_snapshot_installs: int = 0
+    #: shards failed over to a promoted replica
+    failovers: int = 0
+    #: demoted stores re-registered as replicas
+    rejoins: int = 0
 
 
 def _encode_record(
@@ -358,84 +394,51 @@ def _encode_record(
     return _FRAME.pack(len(payload), crc32(payload)) + payload
 
 
-def _decode_frames(
-    data: bytes,
-) -> PyTuple[
-    List[PyTuple[str, PyTuple[object, ...], Optional[dict]]], int
-]:
-    """Parse framed records with their metadata; returns
-    ``(frames, good_offset)`` where each frame is ``(op, values,
-    meta-or-None)`` and ``good_offset`` is the byte length of the
-    intact prefix.  A torn tail (short frame, short payload, or CRC
-    mismatch) ends the parse — everything before it is trusted,
-    everything after discarded."""
-    frames: List[PyTuple[str, PyTuple[object, ...], Optional[dict]]] = []
-    offset = 0
+def _frames(data: bytes, offset: int = 0, strict: bool = False):
+    """The one frame-header loop: yield ``(end, crc, (op, values,
+    meta-or-None))`` for each intact frame from ``offset`` on, stopping
+    at the first torn (short) or corrupt (CRC, unparsable) frame.
+    ``strict`` is the resync scanner's stricter test: it also refuses
+    oversized lengths and anything but a well-formed ``+``/``-`` WAL
+    record, so random bytes in a bad region cannot pass for a frame."""
     header = _FRAME.size
     total = len(data)
     while offset + header <= total:
         length, crc = _FRAME.unpack_from(data, offset)
         start = offset + header
         end = start + length
-        if end > total:
-            break  # torn write: payload never fully landed
+        if end > total or (strict and length > _MAX_FRAME_PAYLOAD):
+            return  # torn write: the payload never fully landed
         payload = data[start:end]
         if crc32(payload) != crc:
-            break  # corrupt frame: stop at the last good record
+            return
         try:
             record = json.loads(payload.decode("utf-8"))
-            op, values = record[0], record[1]
-        except (ValueError, UnicodeDecodeError, IndexError, KeyError, TypeError):
-            break  # pragma: no cover - crc guards
-        meta = record[2] if len(record) > 2 and isinstance(record[2], dict) else None
-        frames.append((op, tuple(values), meta))
+            op, values = record[0], tuple(record[1])
+        except (ValueError, LookupError, TypeError):
+            return  # the CRC guards this outside strict resync
+        meta = record[2] if len(record) > 2 else None
+        if strict and (
+            not isinstance(record, list)
+            or len(record) > 3
+            or op not in ("+", "-")
+            or not isinstance(record[1], list)
+            or not isinstance(meta, (dict, type(None)))
+        ):
+            return
+        yield end, crc, (op, values, meta if isinstance(meta, dict) else None)
         offset = end
-    return frames, offset
 
 
 def _decode_records(data: bytes) -> PyTuple[List[PyTuple[str, PyTuple[object, ...]]], int]:
     """Parse framed records; returns ``(ops, good_offset)`` — the
-    metadata-free view of :func:`_decode_frames` (session stamps
-    dropped), which is all replay-to-rows and the schema log need."""
-    frames, offset = _decode_frames(data)
-    return [(op, values) for op, values, _meta in frames], offset
-
-
-def _frame_at(
-    data: bytes, offset: int
-) -> Optional[
-    PyTuple[int, PyTuple[str, PyTuple[object, ...], Optional[dict]]]
-]:
-    """Decode the frame starting exactly at ``offset``; returns
-    ``(next_offset, (op, values, meta))`` or ``None`` if no valid
-    frame starts there."""
-    header = _FRAME.size
-    if offset + header > len(data):
-        return None
-    length, crc = _FRAME.unpack_from(data, offset)
-    if length > _MAX_FRAME_PAYLOAD:
-        return None
-    start = offset + header
-    end = start + length
-    if end > len(data):
-        return None
-    payload = data[start:end]
-    if crc32(payload) != crc:
-        return None
-    try:
-        record = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if (
-        not isinstance(record, list)
-        or len(record) not in (2, 3)
-        or record[0] not in ("+", "-")
-        or not isinstance(record[1], list)
-        or (len(record) == 3 and not isinstance(record[2], dict))
-    ):
-        return None
-    meta = record[2] if len(record) == 3 else None
-    return end, (record[0], tuple(record[1]), meta)
+    intact prefix without session stamps, which is all the schema log
+    needs — where ``good_offset`` is the byte length of that prefix."""
+    ops: List[PyTuple[str, PyTuple[object, ...]]] = []
+    good = 0
+    for good, _crc, (op, values, _meta) in _frames(data):
+        ops.append((op, values))
+    return ops, good
 
 
 @dataclass
@@ -454,6 +457,10 @@ class WalScan:
     ops: List[PyTuple[str, PyTuple[object, ...], Optional[dict]]] = field(
         default_factory=list
     )
+    #: frame CRCs of the trusted prefix — the identity the replica
+    #: cross-check compares (two chains agree exactly when one CRC
+    #: sequence is a prefix of the other)
+    crcs: List[int] = field(default_factory=list)
     #: byte length of the intact prefix
     good_offset: int = 0
     #: bytes in the file beyond the intact prefix (0 for a clean WAL)
@@ -470,22 +477,24 @@ def _scan_records(data: bytes) -> WalScan:
     """Parse one WAL image: the trusted prefix plus a forward resync
     scan past any bad region, so a torn tail and mid-file corruption
     are told apart (module docstring: *WAL corruption accounting*)."""
-    ops, good = _decode_frames(data)
-    scan = WalScan(ops=ops, good_offset=good, tail_bytes=len(data) - good)
-    offset = good + 1
+    scan = WalScan()
+    good = 0
+    for good, crc, frame in _frames(data):
+        scan.ops.append(frame)
+        scan.crcs.append(crc)
     total = len(data)
+    scan.good_offset = good
+    scan.tail_bytes = total - good
+    offset = good + 1
     while offset < total:
-        hit = _frame_at(data, offset)
-        if hit is None:
-            offset += 1
-            continue
-        # a valid frame after a bad region: mid-file corruption
-        scan.corrupt = True
-        scan.corrupt_regions += 1
-        while hit is not None:
-            offset = hit[0]
-            scan.stranded_records += 1
-            hit = _frame_at(data, offset)
+        stranded = 0
+        for offset, _crc, _frame in _frames(data, offset, strict=True):
+            stranded += 1
+        if stranded:
+            # valid frames after a bad region: mid-file corruption
+            scan.corrupt = True
+            scan.corrupt_regions += 1
+            scan.stranded_records += stranded
         offset += 1
     return scan
 
@@ -525,6 +534,26 @@ def _snapshot_payload(
             tuples_json,
         )
     )
+
+
+def _schema_log_records(data: bytes) -> PyTuple[List[Dict[str, object]], int]:
+    """Parse a ``schema.log`` image: one dict per committed evolution,
+    in apply order, plus the intact prefix's byte length.  A torn tail
+    (crash mid-append) ends the parse — a record not fully on disk was
+    never committed (the manifest replace happens strictly after the
+    log fsync)."""
+    ops, good = _decode_records(data)
+    records: List[Dict[str, object]] = []
+    for op, values in ops:
+        if op != "schema" or not values:
+            continue  # pragma: no cover - foreign record, skip
+        try:
+            record = json.loads(values[0])
+        except (TypeError, ValueError):  # pragma: no cover - crc guards
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records, good
 
 
 def _schema_to_json(schema: DatabaseSchema) -> List[list]:
@@ -637,6 +666,225 @@ def _sessions_to_snapshot(table: Dict[str, dict]) -> Dict[str, list]:
         sid: [entry["seq"], entry.get("kind")]
         for sid, entry in table.items()
     }
+
+
+def _write_fsync(io: StoreIO, path: pathlib.Path, blob: bytes, mode: str) -> None:
+    """Open ``path`` unbuffered in ``mode`` (``"ab"`` appends, ``"wb"``
+    replaces), write ``blob`` and fsync — the one-shot log write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, mode, buffering=0) as handle:
+        if blob:
+            io.wal_write(handle, blob, path)
+        io.wal_fsync(handle, path)
+
+
+class ShardStore:
+    """One store root, the primary's or a replica's, and the one place
+    the layout ``shards/<name>/{wal.log, snapshot.json[.k]}`` is
+    spelled out, behind one :class:`StoreIO`.
+
+    The replica-facing writes (:meth:`append`, :meth:`install_snapshot`,
+    :meth:`overwrite_wal`) copy the primary's fsynced bytes verbatim, so
+    chains stay byte-identical.  The primary itself appends through its
+    :class:`_ShardWal` and installs through :meth:`write_snapshot`."""
+
+    def __init__(
+        self,
+        root: Union[str, os.PathLike],
+        io: Optional[StoreIO] = None,
+        label: Optional[str] = None,
+    ):
+        self.root = pathlib.Path(root)
+        self.io = io if io is not None else StoreIO()
+        self.label = label if label is not None else self.root.name
+        #: parent of every shard directory
+        self.shards_root = self.root / "shards"
+
+    def shard_dir(self, name: str) -> pathlib.Path:
+        return self.shards_root / name
+
+    def wal_path(self, name: str) -> pathlib.Path:
+        return self.shard_dir(name) / WAL_NAME
+
+    def snapshot_path(self, name: str, generation: int = 0) -> pathlib.Path:
+        """Generation 0 is the newest snapshot (``snapshot.json``);
+        ``k > 0`` is the k-th predecessor in the rename chain."""
+        if generation == 0:
+            return self.shard_dir(name) / SNAPSHOT_NAME
+        return self.shard_dir(name) / f"{SNAPSHOT_NAME}.{generation}"
+
+    def snapshot_generations(self, name: str) -> List[int]:
+        """The snapshot generations on disk, newest first."""
+        try:
+            files = os.listdir(self.shard_dir(name))
+        except OSError:
+            return []
+        matches = (_SNAPSHOT_FILE.fullmatch(file) for file in files)
+        return sorted(int(m.group(1) or 0) for m in matches if m)
+
+    def wal_offset(self, name: str) -> int:
+        try:
+            return os.path.getsize(self.wal_path(name))
+        except OSError:
+            return 0
+
+    def read_wal(self, name: str) -> bytes:
+        path = self.wal_path(name)
+        return self.io.read_bytes(path) if path.exists() else b""
+
+    def read_snapshot(self, name: str) -> Optional[bytes]:
+        path = self.snapshot_path(name)
+        return self.io.read_bytes(path) if path.exists() else None
+
+    def write_snapshot(
+        self,
+        name: str,
+        payload: str,
+        generations: int = 1,
+        fault: Optional[FaultHook] = None,
+    ) -> None:
+        """Install ``payload`` as the shard's generation 0: tmp file,
+        fsync, rename, directory fsync.  With ``generations > 1`` the
+        older snapshots first shift one generation up, so the last
+        ``generations`` snapshots stay on disk for repair to fall back
+        through.  A crash mid-rotation is safe: recovery walks the
+        chain newest-first, and a shifted-but-not-yet-replaced slot
+        just means two adjacent generations briefly hold the same
+        content.  Truncating the WAL afterwards is the caller's step."""
+        directory = self.shard_dir(name)
+        tmp = directory / _SNAPSHOT_TMP
+        self.io.snapshot_write(tmp, payload)
+        if fault is not None:
+            fault("snapshot.tmp-written")
+        for generation in range(generations - 1, 0, -1):
+            older = self.snapshot_path(name, generation - 1)
+            if older.exists():
+                self.io.replace(older, self.snapshot_path(name, generation))
+        self.io.replace(tmp, self.snapshot_path(name))
+        self.io.dir_fsync(directory)
+
+    # -- replica-facing writes ------------------------------------------------
+
+    def append(self, name: str, blob: bytes) -> None:
+        """Append a shipped blob to the shard's replica WAL and fsync
+        it (the ack happens only after this returns)."""
+        _write_fsync(self.io, self.wal_path(name), blob, "ab")
+
+    def install_snapshot(self, name: str, payload: Union[str, bytes]) -> None:
+        """Install a shipped snapshot exactly like the primary does,
+        then truncate the replica WAL (the primary truncated its own
+        in the same breath)."""
+        self.shard_dir(name).mkdir(parents=True, exist_ok=True)
+        if isinstance(payload, bytes):
+            payload = payload.decode("utf-8")
+        self.write_snapshot(name, payload)
+        wal = self.wal_path(name)
+        if not wal.exists():
+            wal.touch()
+        self.io.truncate(wal, 0)
+
+    def overwrite_wal(self, name: str, data: bytes) -> None:
+        """Make the replica WAL byte-identical to ``data`` (the
+        snapshot-copy leg of anti-entropy)."""
+        _write_fsync(self.io, self.wal_path(name), data, "wb")
+
+    def chain_summary(self, name: str) -> Dict[str, object]:
+        """Read the shard's chain (replicas keep a single snapshot
+        generation) for promotion ranking: snapshot present, rows after
+        replay, intact WAL frames.  A chain that cannot be read
+        summarizes as unreadable — it cannot be promoted."""
+        summary: Dict[str, object] = {
+            "snapshot": False, "rows": 0, "frames": 0, "readable": False,
+        }
+        try:
+            chain = read_chain(self, name, generations=1)
+        except OSError as exc:
+            return dict(summary, error=str(exc))
+        if chain.void:
+            return dict(summary, error=chain.snapshots[0]["error"])
+        return {
+            "snapshot": chain.generation is not None,
+            "rows": len(chain.rows),
+            "frames": len(chain.scan.ops),
+            "readable": True,
+        }
+
+    def __repr__(self) -> str:
+        return f"ShardStore<{self.label}:{str(self.root)!r}>"
+
+
+@dataclass
+class ShardChain:
+    """One shard's chain as read from disk: the newest readable
+    snapshot generation with the WAL's intact prefix replayed over it."""
+
+    #: value tuples after replay (insertion-ordered set)
+    rows: Dict[PyTuple[object, ...], None] = field(default_factory=dict)
+    #: the exactly-once session table after replay
+    sessions: Dict[str, dict] = field(default_factory=dict)
+    #: schema epoch the snapshot was taken under (0 without one)
+    epoch: int = 0
+    #: snapshot generation the rows start from (``None``: started empty)
+    generation: Optional[int] = None
+    #: unreadable snapshot generations met on the walk
+    bad_generations: int = 0
+    #: one ``{"generation", "ok", "tuples" | "error"}`` per generation read
+    snapshots: List[dict] = field(default_factory=list)
+    scan: WalScan = field(default_factory=WalScan)
+
+    @property
+    def void(self) -> bool:
+        """Snapshots exist but none is readable: the rows are not
+        authoritative (they would silently drop the lost snapshot)."""
+        return self.generation is None and self.bad_generations > 0
+
+
+def read_chain(
+    store: ShardStore,
+    name: str,
+    generations: Optional[int] = None,
+    scrub: bool = False,
+) -> ShardChain:
+    """The one chain reader: walk the snapshot generations newest-first
+    (below ``generations``; all on disk when ``None``) to the first that
+    parses and passes its CRC, then replay the WAL's intact prefix over
+    its rows and session table.  ``scrub`` checks every generation, not
+    just up to the one used.  Each file is read once; bad snapshots are
+    counted, an unreadable WAL raises :class:`OSError`, and nothing on
+    disk changes — cutting a bad tail is the caller's call."""
+    chain = ShardChain()
+    for generation in store.snapshot_generations(name):
+        if generations is not None and generation >= generations:
+            break
+        try:
+            snap = _parse_snapshot(
+                store.io.read_bytes(store.snapshot_path(name, generation)), name
+            )
+        except (OSError, ReproError) as exc:
+            chain.bad_generations += 1
+            chain.snapshots.append(
+                {"generation": generation, "ok": False, "error": str(exc)}
+            )
+            continue
+        chain.snapshots.append(
+            {"generation": generation, "ok": True, "tuples": len(snap["tuples"])}
+        )
+        if chain.generation is None:
+            chain.generation = generation
+            chain.epoch = int(snap.get("epoch", 0))
+            chain.rows = dict.fromkeys(tuple(values) for values in snap["tuples"])
+            chain.sessions = _sessions_from_snapshot(snap.get("sessions"))
+        if not scrub:
+            break
+    chain.scan = _scan_records(store.read_wal(name))
+    rows = chain.rows
+    for op, values, meta in chain.scan.ops:
+        if op == "+":
+            rows[values] = None
+        else:
+            rows.pop(values, None)
+        _replay_session_frame(chain.sessions, op, meta)
+    return chain
 
 
 class _ShardWal:
@@ -752,6 +1000,56 @@ class _ShardWal:
             self._file = None
 
 
+class _Shard:
+    """One shard's durable identity inside the service: the store
+    holding its chain, its WAL, its write lock, and its health."""
+
+    __slots__ = ("store", "wal", "lock", "status", "error", "void")
+
+    def __init__(self, name: str, store: ShardStore):
+        self.lock = threading.RLock()
+        self.status = SHARD_SERVING
+        #: the last failure reason ("" while none is recorded)
+        self.error = ""
+        #: opened with no readable chain at all: the in-memory rows are
+        #: not authoritative, so a failover must rebuild from a replica
+        self.void = False
+        self.attach(name, store)
+
+    def attach(self, name: str, store: ShardStore) -> None:
+        """Point the shard at ``store`` — at open, and when a failover
+        promotes a replica — with a fresh WAL on that store."""
+        store.shard_dir(name).mkdir(parents=True, exist_ok=True)
+        self.store = store
+        self.wal = _ShardWal(store.wal_path(name), store.io)
+
+
+def _fails_over(method):
+    """Make one public entry point survive a shard quarantine: promote
+    a replica and retry the call once.  A degrade is left alone (ENOSPC
+    probes heal themselves), and with no replica to promote the
+    original :class:`~repro.exceptions.ShardQuarantinedError` stands."""
+
+    @functools.wraps(method)
+    def entry(self, *args, **kwargs):
+        # a one-shot iterator argument must survive into the retry
+        args = tuple(list(a) if isinstance(a, Iterator) else a for a in args)
+        try:
+            return method(self, *args, **kwargs)
+        except ShardQuarantinedError as exc:
+            if exc.status != SHARD_QUARANTINED or not self._manager.has_targets(
+                exc.shard
+            ):
+                raise
+            try:
+                self.failover(exc.shard)
+            except (ReplicationError, ShardQuarantinedError):
+                raise exc from None
+            return method(self, *args, **kwargs)
+
+    return entry
+
+
 class DurableShardedService(WindowQueryAPI):
     """A :class:`~repro.weak.sharded.ShardedWeakInstanceService` whose
     state survives restarts: per-shard WAL + snapshots (module
@@ -764,6 +1062,11 @@ class DurableShardedService(WindowQueryAPI):
     use) makes every mutation durable before it returns; the
     multi-client server passes ``auto_commit=False`` and drives
     :meth:`commit` itself from its group-commit thread.
+
+    ``replicas`` (paths or :class:`ShardStore` objects) receive every
+    fsynced WAL blob and snapshot install, before the commit returns
+    when ``sync_ship``; a shard quarantine then fails over to the
+    most-caught-up replica (:mod:`repro.weak.replication`).
     """
 
     DEFAULT_SNAPSHOT_INTERVAL = 4096
@@ -795,13 +1098,21 @@ class DurableShardedService(WindowQueryAPI):
         io_backoff: float = DEFAULT_IO_BACKOFF,
         io_jitter: float = DEFAULT_IO_JITTER,
         rng: Optional[random.Random] = None,
+        replicas: Sequence[Union[str, os.PathLike, ShardStore]] = (),
+        sync_ship: bool = True,
         **service_options,
     ):
+        # the manager ships this class's chains, so its module imports
+        # this one; importing it here keeps that one-way at load time
+        from repro.weak.replication import ReplicationManager
+
         self.root = pathlib.Path(root)
         self.snapshot_interval = snapshot_interval
         self.auto_commit = auto_commit
         self.fault_hook = fault_hook
         self.io = io if io is not None else StoreIO()
+        # labeled like the sharded service's default primary_of()
+        self._store = ShardStore(self.root, self.io, label="primary")
         self.snapshot_generations = max(1, snapshot_generations)
         self.io_retries = io_retries
         self.io_backoff = io_backoff
@@ -809,7 +1120,7 @@ class DurableShardedService(WindowQueryAPI):
         # injectable so the fault-matrix tests stay reproducible: pass
         # a seeded random.Random (or io_jitter=0) to pin the schedule
         self._rng = rng if rng is not None else random.Random()
-        self.stats = self._make_stats()
+        self.stats = DurableServiceStats()
         # retained for evolved-store reopens: the manifest's catalog
         # wins over the constructor's, and the rebuilt inner service
         # must keep the caller's tuning options
@@ -823,33 +1134,25 @@ class DurableShardedService(WindowQueryAPI):
         self._crashed = False
         # lock order (outer to inner): shard lock -> _io_lock -> _stage_lock;
         # _commit_cond shares _stage_lock's mutex domain via its own lock
-        self._locks: Dict[str, threading.RLock] = {
-            name: threading.RLock() for name in self._inner.shard_names()
-        }
         self._io_lock = threading.RLock()
         self._stage_lock = threading.Lock()
         self._commit_cond = threading.Condition()
         self._staged_gen = 0
         self._committed_gen = -1
-        self._wals: Dict[str, _ShardWal] = {}
         self._dirty: List[str] = []
-        # per-shard overrides installed by failover: a promoted shard's
-        # files live in the replica's directory and go through the
-        # replica's StoreIO; everything else stays on the root store
-        self._shard_dirs: Dict[str, pathlib.Path] = {}
-        self._shard_ios: Dict[str, StoreIO] = {}
-        # shards that opened quarantined with no readable state at all
-        # (every snapshot generation corrupt): in-memory rows are NOT
-        # authoritative for these — failover must rebuild from a replica
-        self._void_shards: set = set()
+        #: one record per shard, built by _init_layout once the catalog
+        #: (the constructor's or an evolved manifest's) is known
+        self._shards: Dict[str, _Shard] = {}
         # exactly-once session tables, one per shard (Theorem 3 again:
         # a session is pinned to the shard its writes route to, so the
         # dedup state replicates and fails over with that shard's chain)
         self._sessions: Dict[str, Dict[str, dict]] = {}
-        self._shard_status: Dict[str, str] = {
-            name: SHARD_SERVING for name in self._inner.shard_names()
-        }
-        self._shard_errors: Dict[str, str] = {}
+        self.sync_ship = sync_ship
+        #: stores demoted by a failover, per shard, for the default rejoin
+        self._demoted: Dict[str, ShardStore] = {}
+        # exists before recovery: a rolled-forward shard's snapshot
+        # ships its install
+        self._manager = ReplicationManager(self, replicas, sync=sync_ship)
         #: the manifest's schema epoch (0 for never-evolved stores)
         self._manifest_epoch = 0
         #: the newest ``schema.log`` record, for recovery roll-forward
@@ -858,38 +1161,33 @@ class DurableShardedService(WindowQueryAPI):
         self._init_layout(existing)
         if existing:
             self._recover()
-
-    def _make_stats(self) -> DurableServiceStats:
-        """Stats-object factory — the replicated subclass substitutes
-        its extended dataclass before the inner service binds it."""
-        return DurableServiceStats()
+            # a shard that opened with no readable chain at all can be
+            # rebuilt from a replica right now instead of waiting for
+            # the first write to trip over it
+            void = [n for n, s in self._shards.items() if s.void]
+            for name in sorted(filter(self._manager.has_targets, void)):
+                try:
+                    self.failover(name)
+                except (ReplicationError, ShardQuarantinedError) as exc:
+                    _log.warning(
+                        "startup failover of void shard %s failed: %s",
+                        name, exc,
+                    )
 
     # -- layout and recovery ----------------------------------------------------
 
-    def _shard_dir(self, name: str) -> pathlib.Path:
-        override = self._shard_dirs.get(name)
-        if override is not None:
-            return override
-        return self.root / "shards" / name
-
-    def _io_for(self, name: str) -> StoreIO:
-        """The store backing one shard's files — the root store unless
-        a failover re-pointed the shard at a promoted replica."""
-        return self._shard_ios.get(name, self.io)
+    def shard_store(self, name: str) -> ShardStore:
+        """The store holding one shard's chain: the service's own, or
+        a promoted replica's after a failover (a name with no shard —
+        a retired scheme — maps to the service's own)."""
+        shard = self._shards.get(name)
+        return self._store if shard is None else shard.store
 
     def wal_path(self, name: str) -> pathlib.Path:
-        return self._shard_dir(name) / WAL_NAME
+        return self.shard_store(name).wal_path(name)
 
     def snapshot_path(self, name: str, generation: int = 0) -> pathlib.Path:
-        """Generation 0 is the newest snapshot (``snapshot.json``);
-        ``k > 0`` is the k-th predecessor in the rename chain."""
-        base = self._shard_dir(name) / SNAPSHOT_NAME
-        if generation == 0:
-            return base
-        return base.with_name(f"{SNAPSHOT_NAME}.{generation}")
-
-    def schema_log_path(self) -> pathlib.Path:
-        return self.root / SCHEMA_LOG_NAME
+        return self.shard_store(name).snapshot_path(name, generation)
 
     def _write_manifest(
         self, schema: DatabaseSchema, fds: FDSet, epoch: int
@@ -913,29 +1211,7 @@ class DurableShardedService(WindowQueryAPI):
         )
         self.io.replace(tmp, self.root / MANIFEST_NAME)
 
-    def _read_schema_log(self) -> List[Dict[str, object]]:
-        """Parse ``schema.log``: one dict per committed evolution, in
-        apply order.  A torn tail (crash mid-append) ends the parse —
-        a record not fully on disk was never committed (the manifest
-        replace happens strictly after the log fsync)."""
-        path = self.schema_log_path()
-        if not path.exists():
-            return []
-        ops, _good = _decode_records(self.io.read_bytes(path))
-        records: List[Dict[str, object]] = []
-        for op, values in ops:
-            if op != "schema" or not values:
-                continue  # pragma: no cover - foreign record, skip
-            try:
-                record = json.loads(values[0])
-            except (TypeError, ValueError):  # pragma: no cover - crc guards
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
-
     def _init_layout(self, existing: bool) -> None:
-        names = sorted(self._inner.shard_names())
         if existing:
             manifest_path = self.root / MANIFEST_NAME
             try:
@@ -967,134 +1243,79 @@ class DurableShardedService(WindowQueryAPI):
                     self.schema = self._inner.schema
                     self.fds = self._inner.fds
                     self.report = self._inner.report
-                    self._locks = {
-                        name: threading.RLock()
-                        for name in self._inner.shard_names()
-                    }
-                    self._shard_status = {
-                        name: SHARD_SERVING
-                        for name in self._inner.shard_names()
-                    }
-                    self._shard_errors = {}
                 self._inner.schema_version = epoch
-                names = sorted(self._inner.shard_names())
-                if sorted(manifest.get("schemes", [])) != names:
-                    raise ReproError(
-                        f"durable manifest {manifest_path} is inconsistent: "
-                        f"schemes {manifest.get('schemes')} vs catalog "
-                        f"{names}"
-                    )
-                for name in names:
-                    # a migrated-in scheme's directory may not exist yet
-                    # (crash between manifest commit and finalize)
-                    self._shard_dir(name).mkdir(parents=True, exist_ok=True)
-                records = self._read_schema_log()
-                if records:
-                    self._pending_evolution = records[-1]
-            elif sorted(manifest.get("schemes", [])) != names:
+                path = self.root / SCHEMA_LOG_NAME
+                if path.exists():
+                    records, _good = _schema_log_records(self.io.read_bytes(path))
+                    if records:
+                        self._pending_evolution = records[-1]
+            names = sorted(self._inner.shard_names())
+            if sorted(manifest.get("schemes", [])) != names:
                 raise ReproError(
                     f"durable directory {self.root} was written for schemes "
                     f"{manifest.get('schemes')}, not {names}"
                 )
-        else:
-            self.root.mkdir(parents=True, exist_ok=True)
-            for name in names:
-                self._shard_dir(name).mkdir(parents=True, exist_ok=True)
+        # a migrated-in scheme's directory may not exist yet (crash
+        # between manifest commit and finalize): attaching creates it
+        self._shards = {
+            name: _Shard(name, self._store)
+            for name in sorted(self._inner.shard_names())
+        }
+        if not existing:
             self._write_manifest(self.schema, self.fds, 0)
-        for name in names:
-            self._wals[name] = _ShardWal(self.wal_path(name), self._io_for(name))
 
-    def _load_snapshot_rows(
-        self, name: str
-    ) -> PyTuple[
-        Optional[Dict[PyTuple[object, ...], None]],
-        Optional[int],
-        int,
-        int,
-        Dict[str, dict],
-    ]:
-        """Walk the shard's snapshot generations newest-first and
-        return ``(rows, generation, bad_generations, epoch, sessions)``
-        — ``rows`` from the newest generation that parses and passes
-        its CRC, or ``(None, None, bad, 0, {})`` when no generation is
-        readable (no snapshot at all, or every one corrupt).
-        ``epoch`` is the schema version the snapshot was taken under
-        (0 for pre-evolution snapshot files); ``sessions`` the
-        exactly-once table the snapshot carried."""
-        bad = 0
-        for generation in range(self.snapshot_generations):
-            path = self.snapshot_path(name, generation)
-            if not path.exists():
-                continue
-            try:
-                snap = _parse_snapshot(self._io_for(name).read_bytes(path), name)
-            except (OSError, ReproError) as exc:
-                bad += 1
-                _log.warning("bad snapshot %s (generation %d): %s", path, generation, exc)
-                continue
-            rows: Dict[PyTuple[object, ...], None] = {}
-            for values in snap["tuples"]:
-                rows[tuple(values)] = None
-            sessions = _sessions_from_snapshot(snap.get("sessions"))
-            return rows, generation, bad, int(snap.get("epoch", 0)), sessions
-        return None, None, bad, 0, {}
-
-    def _read_wal(self, name: str, wal: _ShardWal) -> WalScan:
-        """Scan the shard's WAL, count mid-file corruption (module
-        docstring: *WAL corruption accounting*), and cut the file back
-        to its intact prefix."""
-        if not wal.path.exists():
-            return WalScan()
-        scan = _scan_records(wal.io.read_bytes(wal.path))
+    def _read_chain(self, name: str, store: ShardStore) -> ShardChain:
+        """:func:`read_chain`, plus logging and counting a snapshot
+        fallback and mid-file WAL corruption, and cutting the WAL back
+        to its intact prefix (appends after a bad tail would be lost)."""
+        chain = read_chain(store, name, self.snapshot_generations)
+        for bad in (e for e in chain.snapshots if not e["ok"]):
+            _log.warning("shard %s: bad snapshot generation %d: %s",
+                         name, bad["generation"], bad["error"])
+        if chain.generation:
+            self.stats.snapshot_fallbacks += 1
+            _log.warning(
+                "shard %s: snapshot generation 0 unreadable; recovered "
+                "from generation %d (acknowledged records after that "
+                "snapshot are lost)",
+                name, chain.generation,
+            )
+        scan = chain.scan
         if scan.corrupt:
             self.stats.wal_corrupt_frames += scan.corrupt_regions
             self.stats.wal_truncated_bytes += scan.tail_bytes
             _log.warning(
-                "WAL %s: mid-file corruption — %d bad region(s), %d intact "
-                "record(s) stranded after it, %d byte(s) dropped (replay "
-                "keeps the intact prefix; `repro verify-store` shows the "
-                "damage)",
-                wal.path, scan.corrupt_regions, scan.stranded_records,
+                "shard %s WAL: mid-file corruption — %d bad region(s), %d "
+                "intact record(s) stranded after it, %d byte(s) dropped "
+                "(replay keeps the intact prefix; `repro verify-store` "
+                "shows the damage)",
+                name, scan.corrupt_regions, scan.stranded_records,
                 scan.tail_bytes,
             )
         if scan.tail_bytes:
-            # torn or corrupt tail: drop it before appending — anything
-            # written after it would hide later records
-            wal.io.truncate(wal.path, scan.good_offset)
-        return scan
+            store.io.truncate(store.wal_path(name), scan.good_offset)
+        return chain
 
-    def _dir_rows(self, name: str) -> Dict[PyTuple[object, ...], None]:
-        """One shard directory's recovered value-tuples (newest good
-        snapshot generation + WAL-tail replay) — also works for a
-        *retired* directory no longer in the manifest (the
-        roll-forward source capture)."""
-        rows, _generation, _bad, _epoch, _sessions = self._load_snapshot_rows(name)
-        if rows is None:
-            rows = {}
-        wal = self._wals.get(name)
-        throwaway = wal is None
-        if throwaway:
-            wal = _ShardWal(self.wal_path(name), self._io_for(name))
-        try:
-            scan = self._read_wal(name, wal)
-        finally:
-            if throwaway:
-                wal.close()
-        for op, values, _meta in scan.ops:
-            if op == "+":
-                rows[values] = None
-            else:
-                rows.pop(values, None)
-        return rows
-
-    def _snapshot_epoch(self, name: str) -> Optional[int]:
-        """The epoch of the shard's newest readable snapshot, or
-        ``None`` when no generation is readable."""
-        _rows, generation, _bad, epoch, _sessions = self._load_snapshot_rows(name)
-        return None if generation is None else epoch
+    def _adopt_chain(self, name: str, chain: ShardChain) -> List[Dict[str, object]]:
+        """Take over a chain's session table and replay bookkeeping for
+        one shard; returns its rows, attribute-keyed, for the caller to
+        load — in one atomic load at open, or through ``reload_shard``
+        (a fresh shard build that re-validates the rows and leaves the
+        tableau to the bulk kernel's lazy re-chase)."""
+        self.stats.session_records += len(chain.sessions) - len(
+            self._sessions.get(name, ())
+        )
+        self._sessions[name] = chain.sessions
+        self.stats.wal_records_replayed += len(chain.scan.ops)
+        self._shards[name].wal.records_since_snapshot = len(chain.scan.ops)
+        # chain values are in canonical attribute order (Tuple.values),
+        # NOT declared column order: key the rows by attribute so a
+        # load cannot permute them
+        attr_names = self._inner._shard(name).scheme.attributes.names
+        return [dict(zip(attr_names, values)) for values in chain.rows]
 
     def _roll_forward(
-        self, record: Dict[str, object]
+        self, record: Dict[str, object], chains: Dict[str, ShardChain]
     ) -> Dict[str, List[Dict[str, object]]]:
         """Re-apply the last committed evolution's migration to every
         shard whose on-disk snapshot predates the manifest epoch.
@@ -1105,8 +1326,9 @@ class DurableShardedService(WindowQueryAPI):
         disk (finalize removes them only after the migrated snapshots
         are durable), so the deterministic ``migrate_relations``
         transform re-derives exactly the rows the crashed process had
-        built.  Returns ``{scheme: attribute-keyed rows}`` for the
-        rolled-forward shards only."""
+        built.  ``chains`` are the current shards' chains, already
+        read; only retired sources are read here.  Returns ``{scheme:
+        attribute-keyed rows}`` for the rolled-forward shards only."""
         try:
             op = evolution_op_from_json(record["op"])
             old_schema = _schema_from_json(record["old_schema"])
@@ -1120,21 +1342,22 @@ class DurableShardedService(WindowQueryAPI):
         targets = sorted(
             op.migrate_relations(old_schema, {s: [] for s in sources})
         )
-        behind = []
-        for name in targets:
-            if name not in self._wals:
-                continue  # pragma: no cover - defensive
-            epoch = self._snapshot_epoch(name)
-            if epoch is None or epoch < self._manifest_epoch:
-                behind.append(name)
+        behind = [
+            name
+            for name in targets
+            if name in chains
+            and (
+                chains[name].generation is None
+                or chains[name].epoch < self._manifest_epoch
+            )
+        ]
         if not behind:
             return {}
         capture: Dict[str, List[Dict[str, object]]] = {}
         for src in sources:
+            chain = chains.get(src) or self._read_chain(src, self._store)
             attrs = old_schema[src].attributes.names
-            capture[src] = [
-                dict(zip(attrs, values)) for values in self._dir_rows(src)
-            ]
+            capture[src] = [dict(zip(attrs, values)) for values in chain.rows]
         migrated = op.migrate_relations(old_schema, capture)
         self.stats.evolution_rollforwards += len(behind)
         _log.warning(
@@ -1145,7 +1368,7 @@ class DurableShardedService(WindowQueryAPI):
         return {name: migrated.get(name, []) for name in behind}
 
     def _recover(self) -> None:
-        """Snapshot + WAL-tail replay per shard, then one atomic load.
+        """Read every shard's chain once, then one atomic load.
 
         Replay is pure set arithmetic on value tuples; the single
         :meth:`~repro.weak.sharded.ShardedWeakInstanceService.load`
@@ -1155,7 +1378,8 @@ class DurableShardedService(WindowQueryAPI):
         corrupt falls back to the next good generation (logged and
         counted — acknowledged records may roll back, which beats the
         alternative of not opening at all); a shard with *no* good
-        generation but corrupt ones opens quarantined for ``repair``.
+        generation but corrupt ones opens quarantined and void, for
+        ``repair`` or a failover.
 
         On an evolved store, shards whose snapshot predates the
         manifest epoch are **rolled forward** first
@@ -1163,27 +1387,24 @@ class DurableShardedService(WindowQueryAPI):
         the retired source directories removed — the finalize the
         crashed evolution never completed.
         """
-        relations: Dict[str, List[Dict[str, object]]] = {}
-        replayed = 0
-        snapshot_loads = 0
+        chains = {
+            name: self._read_chain(name, shard.store)
+            for name, shard in self._shards.items()
+        }
         rolled: Dict[str, List[Dict[str, object]]] = {}
         if self._pending_evolution is not None and (
             int(self._pending_evolution.get("epoch", 0)) == self._manifest_epoch
         ):
-            rolled = self._roll_forward(self._pending_evolution)
-        for name, wal in self._wals.items():
-            # WAL and snapshot values are in canonical attribute order
-            # (Tuple.values), NOT declared column order — rebuild rows
-            # as attribute-keyed mappings so the load cannot permute
-            attr_names = self._inner._shard(name).scheme.attributes.names
-            tmp = self._shard_dir(name) / _SNAPSHOT_TMP
-            if tmp.exists():  # crash before the snapshot rename: discard
-                tmp.unlink()
+            rolled = self._roll_forward(self._pending_evolution, chains)
+        relations: Dict[str, List[Dict[str, object]]] = {}
+        for name, shard in self._shards.items():
+            # a crash before the snapshot rename leaves a tmp: discard it
+            (shard.store.shard_dir(name) / _SNAPSHOT_TMP).unlink(missing_ok=True)
             if name in rolled:
                 relations[name] = rolled[name]
                 continue
-            rows, generation, bad, _epoch, sessions = self._load_snapshot_rows(name)
-            if rows is None and bad:
+            chain = chains[name]
+            if chain.void:
                 # every generation corrupt: open the shard quarantined
                 # (the healthy shards keep serving; repair can retry
                 # once the operator restores a snapshot file — or a
@@ -1193,41 +1414,16 @@ class DurableShardedService(WindowQueryAPI):
                 self._set_status(
                     name,
                     SHARD_QUARANTINED,
-                    f"no readable snapshot generation ({bad} corrupt)",
+                    f"no readable snapshot generation "
+                    f"({chain.bad_generations} corrupt)",
                 )
-                self._void_shards.add(name)
+                shard.void = True
                 relations[name] = []
                 continue
-            if rows is None:
-                rows = {}
-            else:
-                snapshot_loads += 1
-                if generation > 0:
-                    self.stats.snapshot_fallbacks += 1
-                    _log.warning(
-                        "shard %s: snapshot generation 0 unreadable; "
-                        "recovered from generation %d (acknowledged "
-                        "records after that snapshot are lost)",
-                        name, generation,
-                    )
-            scan = self._read_wal(name, wal)
-            for op, values, meta in scan.ops:
-                if op == "+":
-                    rows[values] = None
-                else:
-                    rows.pop(values, None)
-                _replay_session_frame(sessions, op, meta)
-            if sessions:
-                self._sessions[name] = sessions
-                self.stats.session_records += len(sessions)
-            replayed += len(scan.ops)
-            wal.records_since_snapshot = len(scan.ops)
-            relations[name] = [
-                dict(zip(attr_names, values)) for values in rows
-            ]
+            if chain.generation is not None:
+                self.stats.snapshot_loads += 1
+            relations[name] = self._adopt_chain(name, chain)
         self.stats.recoveries += 1
-        self.stats.snapshot_loads += snapshot_loads
-        self.stats.wal_records_replayed += replayed
         if any(relations.values()):
             self._inner.load(DatabaseState(self.schema, relations))
         # finalize an interrupted evolution: epoch-stamped snapshots for
@@ -1235,12 +1431,11 @@ class DurableShardedService(WindowQueryAPI):
         # same write order the crashed evolve was following)
         for name in sorted(rolled):
             self._snapshot_locked(name)
-        if self._manifest_epoch > 0:
-            shards_root = self.root / "shards"
-            if shards_root.is_dir():
-                for child in sorted(shards_root.iterdir()):
-                    if child.is_dir() and child.name not in self._wals:
-                        shutil.rmtree(child, ignore_errors=True)
+        shards_root = self._store.shards_root
+        if self._manifest_epoch > 0 and shards_root.is_dir():
+            for child in sorted(shards_root.iterdir()):
+                if child.is_dir() and child.name not in self._shards:
+                    shutil.rmtree(child, ignore_errors=True)
 
     # -- crash discipline and per-shard health -----------------------------------
 
@@ -1269,38 +1464,34 @@ class DurableShardedService(WindowQueryAPI):
         :data:`SHARD_DEGRADED` / :data:`SHARD_QUARANTINED` /
         :data:`SHARD_REPAIRING`)."""
         self._inner._shard(name)  # unknown-scheme error, same as reads
-        return self._shard_status[name]
+        return self._shards[name].status
 
     def health(self) -> Dict[str, object]:
         """The per-shard status surface: overall status (``serving``
         iff every shard serves and the service has not crashed) plus
-        each shard's state, last error, the schema epoch, and any
-        in-flight migration."""
-        shards = dict(self._shard_status)
+        each shard's state, last error, serving store, the schema
+        epoch, any in-flight migration, and replication lag."""
+        report = self._inner.health()
+        shards = {name: shard.status for name, shard in self._shards.items()}
         if self._crashed:
-            status = "crashed"
-        elif all(s == SHARD_SERVING for s in shards.values()):
-            status = "serving"
-        else:
-            status = "degraded"
-        return {
-            "status": status,
-            "shards": shards,
-            "errors": dict(self._shard_errors),
-            "primaries": {
-                name: self._inner.primary_of(name) for name in shards
-            },
-            "epoch": self._inner.schema_version,
-            "migration": self._inner.migration_status(),
+            report["status"] = "crashed"
+        elif any(s != SHARD_SERVING for s in shards.values()):
+            report["status"] = "degraded"  # the inner view misses degrades
+        report["shards"] = shards
+        report["errors"] = {
+            name: shard.error for name, shard in self._shards.items() if shard.error
         }
+        report["replication"] = self.replication_status()
+        return report
 
     def _set_status(self, name: str, status: str, reason: str = "") -> None:
-        previous = self._shard_status[name]
-        self._shard_status[name] = status
+        shard = self._shards[name]
+        previous = shard.status
+        shard.status = status
         if reason:
-            self._shard_errors[name] = reason
+            shard.error = reason
         elif status == SHARD_SERVING:
-            self._shard_errors.pop(name, None)
+            shard.error = ""
         if status != previous:
             if status == SHARD_QUARANTINED:
                 self.stats.shards_quarantined += 1
@@ -1315,18 +1506,18 @@ class DurableShardedService(WindowQueryAPI):
         # degraded shard is read-only but still readable
         self._inner.set_unavailable(
             {
-                n: s
-                for n, s in self._shard_status.items()
-                if s in (SHARD_QUARANTINED, SHARD_REPAIRING)
+                n: s.status
+                for n, s in self._shards.items()
+                if s.status in (SHARD_QUARANTINED, SHARD_REPAIRING)
             }
         )
 
     def _shard_fault(self, name: str, exc: OSError) -> ShardQuarantinedError:
         """Record a persistent I/O failure on one shard: ENOSPC
         degrades to read-only (recovery probes may heal it), anything
-        else quarantines (``repair`` heals it).  Returns the typed
-        error for the caller to raise — the rest of the service keeps
-        serving."""
+        else quarantines (``repair`` or a failover heals it).  Returns
+        the typed error for the caller to raise — the rest of the
+        service keeps serving."""
         if getattr(exc, "errno", None) == _errno.ENOSPC:
             status = SHARD_DEGRADED
         else:
@@ -1342,33 +1533,28 @@ class DurableShardedService(WindowQueryAPI):
         (read-only) shard gets a recovery probe first — if the disk
         took the backlog, the shard returns to serving and the write
         proceeds."""
-        status = self._shard_status.get(name)
-        if status is None:
+        shard = self._shards.get(name)
+        if shard is None:
             # unknown (or evolved-away) scheme: raise the canonical
             # unknown-scheme error, same as the read path
             self._inner._shard(name)
-        if status == SHARD_SERVING:
+        if shard.status == SHARD_SERVING:
             return
-        if status == SHARD_DEGRADED and self.probe(name):
+        if shard.status == SHARD_DEGRADED and self.probe(name):
             return
-        raise ShardQuarantinedError(
-            name, self._shard_status[name], self._shard_errors.get(name, "")
-        )
+        raise ShardQuarantinedError(name, shard.status, shard.error)
 
     def probe(self, name: str) -> bool:
         """Recovery probe for a degraded shard: try to flush its
         restaged WAL backlog (with the usual retry budget).  Success
         returns the shard to serving; failure leaves it degraded (or
         quarantines it, if the error stopped being ENOSPC)."""
-        if self._shard_status[name] == SHARD_SERVING:
-            return True
-        if self._shard_status[name] != SHARD_DEGRADED:
-            return False
-        with self._locks[name]:
-            if self._shard_status[name] != SHARD_DEGRADED:
-                return self._shard_status[name] == SHARD_SERVING
+        shard = self._shards[name]
+        with shard.lock:
+            if shard.status != SHARD_DEGRADED:
+                return shard.status == SHARD_SERVING
             try:
-                self._commit_wal(name, self._wals[name])
+                self._commit_wal(name, shard.wal)
             except ShardQuarantinedError:
                 return False
             self._set_status(name, SHARD_SERVING)
@@ -1380,41 +1566,19 @@ class DurableShardedService(WindowQueryAPI):
     def shard_lock(self, name: str) -> threading.RLock:
         """The lock serializing writes (and snapshot reads) of one
         shard — the front end's per-shard write discipline."""
-        return self._locks[name]
+        return self._shards[name].lock
 
     def _stage(self, name: str, record: bytes) -> int:
         """Buffer one encoded record for the next group commit;
         returns the commit ticket that will cover it.  Caller holds
         the shard lock, so per-shard WAL order is apply order."""
         with self._stage_lock:
-            wal = self._wals[name]
+            wal = self._shards[name].wal
             if not wal.pending:
                 self._dirty.append(name)
             wal.stage(record)
             self.stats.wal_records_appended += 1
             return self._staged_gen
-
-    def _restage(self, name: str, wal: _ShardWal, blob: bytes, count: int) -> None:
-        """Return a drained-but-undurable blob to the front of the
-        buffer and re-mark the shard dirty, so a probe, repair, or the
-        next commit attempt sees it (nothing acknowledged is ever
-        dropped from memory while the shard is sick)."""
-        with self._stage_lock:
-            wal.restage_front(blob, count)
-            if name not in self._dirty:
-                self._dirty.append(name)
-
-    def _ship(self, name: str, blob: bytes, base_offset: int, count: int) -> None:
-        """Replication seam: called after one WAL's blob is fsynced,
-        still under that WAL's I/O lock.  The base class has no
-        replicas — :class:`repro.weak.replication.
-        ReplicatedShardedService` overrides this to ship the frames."""
-
-    def _on_snapshot(self, name: str, payload: str) -> None:
-        """Replication seam: called after a shard's snapshot install
-        truncated its WAL (under the WAL's I/O lock) — replicas must
-        install the same snapshot to stay aligned with the primary's
-        now-empty WAL."""
 
     def _commit_wal(self, name: str, wal: _ShardWal) -> PyTuple[int, int]:
         """Drain, write, and fsync one WAL as a single critical
@@ -1450,7 +1614,14 @@ class DurableShardedService(WindowQueryAPI):
                 except OSError as exc:
                     wal.rollback_to(start)
                     if attempt >= self.io_retries:
-                        self._restage(name, wal, blob, count)
+                        # back to the front of the buffer, re-marked
+                        # dirty: a probe, repair, or the next commit
+                        # sees it (nothing acknowledged is ever dropped
+                        # from memory while the shard is sick)
+                        with self._stage_lock:
+                            wal.restage_front(blob, count)
+                            if name not in self._dirty:
+                                self._dirty.append(name)
                         raise self._shard_fault(name, exc) from exc
                     self.stats.io_retries += 1
                     # jittered exponential backoff: shards that failed
@@ -1471,10 +1642,13 @@ class DurableShardedService(WindowQueryAPI):
             # ship while still holding the WAL's I/O lock: frames reach
             # every replica in exactly WAL order, and (sync mode) before
             # the covering tickets release — acked ⟹ durable-on-quorum
-            self._ship(name, blob, start, count)
+            if self._manager.has_targets(name):
+                self._fault("ship.begin")
+                self._manager.ship(name, blob, start, count)
             self._fault("commit.post-fsync")
         return len(blob), count
 
+    @_fails_over
     def commit(self) -> Optional[int]:
         """Global group commit: write and fsync every staged record,
         then release the covered tickets.  Returns the committed
@@ -1489,40 +1663,20 @@ class DurableShardedService(WindowQueryAPI):
         generation.
         """
         self._ensure_open()
-        failure: Optional[ShardQuarantinedError] = None
         try:
             with self._io_lock:
                 with self._stage_lock:
                     # a name may have been retired by a concurrent
                     # evolution's finalize — its records are already
                     # superseded by the migrated epoch-stamped snapshot
-                    dirty = [
-                        (name, self._wals[name])
-                        for name in self._dirty
-                        if name in self._wals
-                    ]
+                    dirty = [name for name in self._dirty if name in self._shards]
                     self._dirty = []
                     gen = self._staged_gen
                     if dirty:
                         self._staged_gen += 1
                 if not dirty:
                     return None
-                written = 0
-                records = 0
-                for name, wal in dirty:
-                    try:
-                        wrote, count = self._commit_wal(name, wal)
-                    except ShardQuarantinedError as exc:
-                        # that shard's records are restaged; every other
-                        # dirty shard still commits — the failure domain
-                        # is the shard, not the commit
-                        failure = failure if failure is not None else exc
-                        continue
-                    written += wrote
-                    records += count
-                if records:
-                    self.stats.wal_commits += 1
-                    self.stats.wal_bytes_written += written
+                failure = self._commit_wals(dirty)
         except BaseException:
             self._latch_crash()
             raise
@@ -1537,6 +1691,7 @@ class DurableShardedService(WindowQueryAPI):
             raise failure
         return gen
 
+    @_fails_over
     def commit_shards(self, names: Iterable[str]) -> None:
         """Per-shard synchronous commit: drain, write, and fsync the
         named shards' staged records in the *calling* thread.  When it
@@ -1550,31 +1705,37 @@ class DurableShardedService(WindowQueryAPI):
         shared committer — workers of the front end commit the shards
         they own concurrently, overlapping their fsyncs."""
         self._ensure_open()
+        try:
+            failure = self._commit_wals(sorted(set(names)))
+        except BaseException:
+            self._latch_crash()
+            raise
+        if failure is not None:
+            raise failure
+
+    def _commit_wals(self, names: Iterable[str]) -> Optional[ShardQuarantinedError]:
+        """Commit each named shard's WAL; returns the first shard's
+        error for the caller to raise after every other shard committed
+        (the failure domain is the shard).  A name retired by an
+        evolution is skipped: the new epoch's snapshot holds its data."""
         written = 0
         records = 0
         failure: Optional[ShardQuarantinedError] = None
-        for name in sorted(set(names)):
-            wal = self._wals.get(name)
-            if wal is None:
-                # retired by an evolution's finalize: the shard's data
-                # (mid-migration journal included) is durable in the
-                # new epoch's snapshot, so there is nothing to commit
+        for name in names:
+            shard = self._shards.get(name)
+            if shard is None:
                 continue
             try:
-                wrote, count = self._commit_wal(name, wal)
+                wrote, count = self._commit_wal(name, shard.wal)
             except ShardQuarantinedError as exc:
                 failure = failure if failure is not None else exc
                 continue
-            except BaseException:
-                self._latch_crash()
-                raise
             written += wrote
             records += count
         if records:
             self.stats.wal_commits += 1
             self.stats.wal_bytes_written += written
-        if failure is not None:
-            raise failure
+        return failure
 
     def wait_durable(self, ticket: int, timeout: Optional[float] = None) -> bool:
         """Block until the group commit covering ``ticket`` has fsynced
@@ -1594,6 +1755,7 @@ class DurableShardedService(WindowQueryAPI):
 
     # -- snapshots ---------------------------------------------------------------
 
+    @_fails_over
     def snapshot(self, name: Optional[str] = None) -> None:
         """Write a snapshot of one shard (or all) and truncate its WAL.
 
@@ -1603,9 +1765,9 @@ class DurableShardedService(WindowQueryAPI):
         writes tmp → fsync → rename → directory fsync → truncate.
         """
         self._ensure_open()
-        names = [name] if name is not None else sorted(self._wals)
+        names = [name] if name is not None else sorted(self._shards)
         for shard_name in names:
-            with self._locks[shard_name]:
+            with self._shards[shard_name].lock:
                 self._check_writable(shard_name)
                 # this shard's staged records must hit the WAL before
                 # the snapshot reflects them (the suffix-loss
@@ -1622,45 +1784,31 @@ class DurableShardedService(WindowQueryAPI):
                     raise
 
     def _snapshot_locked(self, name: str) -> None:
-        shard = self._inner._shard(name)
-        rows = [list(t.values) for t in shard.relation()]
+        shard = self._shards[name]
+        relation = self._inner._shard(name)
+        rows = [list(t.values) for t in relation.relation()]
         self._fault("snapshot.begin")
         sessions = self._sessions.get(name)
         payload = _snapshot_payload(
             name,
-            shard.scheme.attributes.names,
+            relation.scheme.attributes.names,
             rows,
             self._inner.schema_version,
             sessions=_sessions_to_snapshot(sessions) if sessions else None,
         )
-        io = self._io_for(name)
         with self._io_lock:
-            directory = self._shard_dir(name)
-            tmp = directory / _SNAPSHOT_TMP
-            io.snapshot_write(tmp, payload)
-            self._fault("snapshot.tmp-written")
-            # rename chain: the newest snapshot is installed over
-            # generation 0 only after the older generations shift up,
-            # so the last K snapshots stay on disk for repair to fall
-            # back through.  A crash mid-rotation is safe: recovery
-            # walks the chain newest-first and a shifted-but-not-yet-
-            # replaced slot just means two adjacent generations briefly
-            # hold the same content.
-            for generation in range(self.snapshot_generations - 1, 0, -1):
-                older = self.snapshot_path(name, generation - 1)
-                if older.exists():
-                    io.replace(older, self.snapshot_path(name, generation))
-            io.replace(tmp, directory / SNAPSHOT_NAME)
-            io.dir_fsync(directory)
+            shard.store.write_snapshot(
+                name, payload, self.snapshot_generations, self._fault
+            )
             self._fault("snapshot.installed")
-            wal = self._wals[name]
-            with wal.io_lock:  # no commit may write between snapshot and cut
-                wal.truncate()
+            with shard.wal.io_lock:  # no commit may write between snapshot and cut
+                shard.wal.truncate()
                 # replicas must see the same install+truncate, or their
                 # chains diverge at the next shipped frame (base offset
                 # restarts at zero); still under the WAL's I/O lock so
                 # no frame can interleave between truncate and ship
-                self._on_snapshot(name, payload)
+                if self._manager.has_targets(name):
+                    self._manager.ship_snapshot(name, payload)
             self.stats.snapshots_written += 1
             self._fault("snapshot.done")
 
@@ -1669,26 +1817,21 @@ class DurableShardedService(WindowQueryAPI):
         outgrown ``snapshot_interval`` records since its last
         snapshot.  Non-serving shards are skipped — their snapshot
         happens when a probe or ``repair`` heals them."""
-        for name in (self._wals if names is None else set(names)):
-            if self._shard_status[name] != SHARD_SERVING:
-                continue
-            if self._wals[name].records_since_snapshot >= self.snapshot_interval:
+        for name in (self._shards if names is None else set(names)):
+            shard = self._shards[name]
+            if (
+                shard.status == SHARD_SERVING
+                and shard.wal.records_since_snapshot >= self.snapshot_interval
+            ):
                 self.snapshot(name)
 
     # -- mutations ---------------------------------------------------------------
 
-    def _session_meta(
-        self, session: Optional[PyTuple[str, int]]
-    ) -> Optional[dict]:
-        if session is None:
-            return None
-        sid, seq = session
-        return {"sid": str(sid), "seq": int(seq)}
-
     def _session_hit(
-        self, name: str, kind: str, session: PyTuple[str, int]
+        self, name: str, kind: str, session: PyTuple[str, int], t
     ):
-        """Exactly-once gate, under the shard lock.  Returns the
+        """Exactly-once gate, under the shard lock (``t`` is the
+        submission's coerced tuple).  Returns the
         original ``(outcome, ticket)`` for a duplicate of the
         session's recorded operation, ``None`` for a fresh sequence —
         and ``None`` for a same-seq retry whose original changed
@@ -1700,56 +1843,23 @@ class DurableShardedService(WindowQueryAPI):
         entry = self._sessions.get(name, {}).get(sid)
         if entry is None or seq > entry["seq"]:
             return None
-        if seq < entry["seq"]:
-            raise SessionSequenceError(sid, seq, entry["seq"])
         recorded_kind = entry.get("kind")
-        if recorded_kind is not None and recorded_kind != kind:
+        if seq < entry["seq"] or recorded_kind not in (None, kind):
             raise SessionSequenceError(sid, seq, entry["seq"])
-        if entry.get("result") is not None:
-            self.stats.session_dedup_hits += 1
-            return entry["result"], entry.get("ticket")
-        if recorded_kind is not None:
+        result = entry.get("result")
+        if result is None and recorded_kind is None:
+            return None
+        self.stats.session_dedup_hits += 1
+        if result is None:
             # recovered from disk: the stamp proves the original applied
             # and is durable, but the live outcome object died with the
             # old process — reconstruct the only answer it can have had
-            self.stats.session_dedup_hits += 1
-            if kind == "+":
-                shard = self._inner._shard(name)
-                t = None
-                result: object = InsertOutcome(
-                    accepted=True,
-                    scheme=name,
-                    tuple=t,
-                    method=self._inner.method,
-                )
-            else:
-                result = True
-            return result, entry.get("ticket")
-        return None
+            result = True if kind == "-" else InsertOutcome(
+                accepted=True, scheme=name, tuple=t, method=self._inner.method
+            )
+        return result, entry.get("ticket")
 
-    def _session_record(
-        self,
-        name: str,
-        session: Optional[PyTuple[str, int]],
-        kind: Optional[str],
-        result: object,
-        ticket: Optional[int],
-    ) -> None:
-        """Record a sessioned operation's outcome (shard lock held).
-        ``kind`` is the staged frame's op for an effectful operation,
-        ``None`` when nothing was logged (rejected insert, duplicate
-        insert, absent delete) — those need no durable stamp because
-        re-executing them cannot change state."""
-        if session is None:
-            return
-        sid, seq = str(session[0]), int(session[1])
-        table = self._sessions.setdefault(name, {})
-        if sid not in table:
-            self.stats.session_records += 1
-        table[sid] = {
-            "seq": seq, "kind": kind, "result": result, "ticket": ticket
-        }
-
+    @_fails_over
     def apply_insert(
         self, scheme_name: str, row, session: Optional[PyTuple[str, int]] = None
     ) -> PyTuple[InsertOutcome, Optional[int]]:
@@ -1763,55 +1873,61 @@ class DurableShardedService(WindowQueryAPI):
         original outcome without re-applying, the stamp rides in the
         WAL frame (and snapshot), so the guarantee survives restarts
         and failovers."""
-        self._ensure_open()
-        self._check_writable(scheme_name)
-        shard = self._inner._shard(scheme_name)
-        with self._locks[scheme_name]:
-            if session is not None:
-                hit = self._session_hit(scheme_name, "+", session)
-                if hit is not None:
-                    return hit
-            # encode from the coerced tuple *before* applying, so a
-            # non-serializable value rejects cleanly instead of
-            # leaving an applied-but-unloggable operation behind
-            t = shard.checker.coerce_tuple(scheme_name, row)
-            record = _encode_record("+", t.values, self._session_meta(session))
-            # pass the coerced tuple through: Tuple rows skip the inner
-            # service's re-coercion, which matters on the hot path
-            outcome = self._inner.insert(scheme_name, t)
-            ticket = None
-            effectful = outcome.accepted and not outcome.reason
-            if effectful:
-                ticket = self._stage(scheme_name, record)
-            self._session_record(
-                scheme_name, session, "+" if effectful else None,
-                outcome, ticket,
-            )
-        return outcome, ticket
+        return self._apply("+", scheme_name, row, session)
 
+    @_fails_over
     def apply_delete(
         self, scheme_name: str, row, session: Optional[PyTuple[str, int]] = None
     ) -> PyTuple[bool, Optional[int]]:
         """Apply and stage one delete; ticket is ``None`` when the
         tuple was absent (nothing to log).  ``session`` as in
         :meth:`apply_insert`."""
+        return self._apply("-", scheme_name, row, session)
+
+    def _apply(
+        self, kind: str, scheme_name: str, row, session: Optional[PyTuple[str, int]]
+    ):
+        """One mutation (``kind`` is the frame op) under the shard
+        lock: coerce, the exactly-once gate, encode, apply, stage if
+        it changed something, and record the session's outcome."""
         self._ensure_open()
         self._check_writable(scheme_name)
-        shard = self._inner._shard(scheme_name)
-        with self._locks[scheme_name]:
+        checker = self._inner._shard(scheme_name).checker
+        with self._shards[scheme_name].lock:
+            t = checker.coerce_tuple(scheme_name, row)
+            meta = None
             if session is not None:
-                hit = self._session_hit(scheme_name, "-", session)
+                hit = self._session_hit(scheme_name, kind, session, t)
                 if hit is not None:
                     return hit
-            t = shard.checker.coerce_tuple(scheme_name, row)
-            record = _encode_record("-", t.values, self._session_meta(session))
-            existed = self._inner.delete(scheme_name, t)
-            ticket = self._stage(scheme_name, record) if existed else None
-            self._session_record(
-                scheme_name, session, "-" if existed else None,
-                existed, ticket,
-            )
-        return existed, ticket
+                meta = {"sid": str(session[0]), "seq": int(session[1])}
+            # encode from the coerced tuple *before* applying, so a
+            # non-serializable value rejects cleanly instead of
+            # leaving an applied-but-unloggable operation behind
+            record = _encode_record(kind, t.values, meta)
+            # pass the coerced tuple through: Tuple rows skip the inner
+            # service's re-coercion, which matters on the hot path
+            if kind == "+":
+                result = self._inner.insert(scheme_name, t)
+                effectful = result.accepted and not result.reason
+            else:
+                result = effectful = self._inner.delete(scheme_name, t)
+            ticket = self._stage(scheme_name, record) if effectful else None
+            if session is not None:
+                # an operation that changed nothing (rejected or
+                # duplicate insert, absent delete) records no kind: it
+                # needs no durable stamp, re-executing it is harmless
+                sid = str(session[0])
+                table = self._sessions.setdefault(scheme_name, {})
+                if sid not in table:
+                    self.stats.session_records += 1
+                table[sid] = {
+                    "seq": int(session[1]),
+                    "kind": kind if effectful else None,
+                    "result": result,
+                    "ticket": ticket,
+                }
+        return result, ticket
 
     def _finish(
         self, ticket: Optional[int], scheme_name: Optional[str] = None
@@ -1847,6 +1963,7 @@ class DurableShardedService(WindowQueryAPI):
         self._finish(ticket, scheme_name)
         return existed
 
+    @_fails_over
     def apply_insert_many(
         self, ops: Iterable[PyTuple[str, object]]
     ) -> PyTuple[List[InsertOutcome], Optional[int]]:
@@ -1865,7 +1982,7 @@ class DurableShardedService(WindowQueryAPI):
             self._check_writable(name)
         with ExitStack() as stack:
             for name in sorted({name for name, _ in ops}):
-                stack.enter_context(self._locks[name])
+                stack.enter_context(self._shards[name].lock)
             coerced = [
                 (name, self._inner._shard(name).checker.coerce_tuple(name, row))
                 for name, row in ops
@@ -1890,10 +2007,10 @@ class DurableShardedService(WindowQueryAPI):
         shard's snapshot is installed)."""
         self._ensure_open()
         with ExitStack() as stack:
-            for name in sorted(self._locks):
-                stack.enter_context(self._locks[name])
+            for name in sorted(self._shards):
+                stack.enter_context(self._shards[name].lock)
             self._inner.load(state)
-            for name in sorted(self._wals):
+            for name in sorted(self._shards):
                 self.commit()
                 try:
                     self._snapshot_locked(name)
@@ -1932,13 +2049,9 @@ class DurableShardedService(WindowQueryAPI):
         is not serving — migration needs every failure domain healthy.
         """
         self._ensure_open()
-        for name in sorted(self._shard_status):
-            if self._shard_status[name] != SHARD_SERVING:
-                raise ShardQuarantinedError(
-                    name,
-                    self._shard_status[name],
-                    self._shard_errors.get(name, ""),
-                )
+        for name, shard in sorted(self._shards.items()):
+            if shard.status != SHARD_SERVING:
+                raise ShardQuarantinedError(name, shard.status, shard.error)
         # flush the staged backlog first: the migration captures shard
         # state, and everything acknowledged must be on disk before the
         # old epoch's WALs stop being authoritative
@@ -1957,10 +2070,7 @@ class DurableShardedService(WindowQueryAPI):
                 "schema", [json.dumps(payload, separators=(",", ":"))]
             )
             self._fault("evolve.pre-wal")
-            path = self.schema_log_path()
-            with open(path, "ab", buffering=0) as handle:
-                self.io.wal_write(handle, record, path)
-                self.io.wal_fsync(handle, path)
+            _write_fsync(self.io, self.root / SCHEMA_LOG_NAME, record, "ab")
             self.stats.evolutions_logged += 1
             self._fault("evolve.post-wal")
             # the commit point: after this replace, recovery rolls
@@ -1973,17 +2083,10 @@ class DurableShardedService(WindowQueryAPI):
         # handing the caller the inner service would acknowledge writes
         # that never reach a WAL — durable for the journal replay, lost
         # on the next restart
-        durable_during = None
-        if during is not None:
-            caller_during = during
-
-            def durable_during(_inner_service) -> None:
-                caller_during(self)
-
         try:
             result = self._inner.evolve(
                 op,
-                during=durable_during,
+                during=None if during is None else lambda _inner: during(self),
                 hook=self._fault,
                 pre_commit=pre_commit,
             )
@@ -2013,32 +2116,33 @@ class DurableShardedService(WindowQueryAPI):
         new epoch (truncating its old-epoch WAL), and only then remove
         retired directories — so recovery always still has the sources
         it would need to re-derive an unsnapshotted migrated shard."""
-        old_names = set(self._wals)
+        old_names = set(self._shards)
         new_names = set(self._inner.shard_names())
         for name in sorted(new_names - old_names):
-            self._shard_dir(name).mkdir(parents=True, exist_ok=True)
-            self._wals[name] = _ShardWal(self.wal_path(name), self._io_for(name))
-            self._locks[name] = threading.RLock()
-            self._shard_status[name] = SHARD_SERVING
+            self._shards[name] = _Shard(name, self._store)
         for name in result.rebuilt:
-            with self._locks[name]:
+            with self._shards[name].lock:
                 # flush any mid-migration staged records (old-epoch
                 # values; the epoch-stamped snapshot below supersedes
                 # them and truncates the WAL)
                 self.commit_shards([name])
                 self._snapshot_locked(name)
         for name in sorted(old_names - new_names):
-            wal = self._wals.pop(name)
-            with self._stage_lock:
-                wal.take_pending()
-                if name in self._dirty:
-                    self._dirty.remove(name)
-            wal.close()
-            self._locks.pop(name, None)
-            self._shard_status.pop(name, None)
-            self._shard_errors.pop(name, None)
-            shutil.rmtree(self._shard_dir(name), ignore_errors=True)
+            shard = self._shards.pop(name)
+            self._drop_staged(name, shard.wal)
+            shard.wal.close()
+            shutil.rmtree(shard.store.shard_dir(name), ignore_errors=True)
         self._fault("evolve.done")
+
+    def _drop_staged(self, name: str, wal: _ShardWal) -> int:
+        """Discard a shard's staged, not yet written records; returns
+        how many.  Callers either persist the in-memory state another
+        way (a snapshot) or drop an unacknowledged suffix on purpose."""
+        with self._stage_lock:
+            _, dropped = wal.take_pending()
+            if name in self._dirty:
+                self._dirty.remove(name)
+        return dropped
 
     # -- self-healing ------------------------------------------------------------
 
@@ -2058,57 +2162,24 @@ class DurableShardedService(WindowQueryAPI):
         but corrupt ones exist."""
         self._ensure_open()
         self._inner._shard(name)  # unknown-scheme error first
-        with self._locks[name]:
-            previous = self._shard_status[name]
-            self._set_status(name, SHARD_REPAIRING,
-                             self._shard_errors.get(name, ""))
+        shard = self._shards[name]
+        with shard.lock:
+            previous = shard.status
+            self._set_status(name, SHARD_REPAIRING, shard.error)
             try:
-                wal = self._wals[name]
-                with wal.io_lock:
-                    with self._stage_lock:
-                        # in-memory backlog is unacknowledged by
-                        # definition (an acked record is fsynced):
-                        # dropping it is the legal suffix loss
-                        _, dropped = wal.take_pending()
-                        if name in self._dirty:
-                            self._dirty.remove(name)
-                    rows, generation, bad, _epoch, sessions = (
-                        self._load_snapshot_rows(name)
-                    )
-                    if rows is None and bad:
+                with shard.wal.io_lock:
+                    # in-memory backlog is unacknowledged by definition
+                    # (an acked record is fsynced): dropping it is the
+                    # legal suffix loss
+                    dropped = self._drop_staged(name, shard.wal)
+                    chain = self._read_chain(name, shard.store)
+                    if chain.void:
                         raise ReproError(
                             f"shard {name!r}: no readable snapshot "
-                            f"generation ({bad} corrupt); restore one from "
-                            f"backup, then repair again"
+                            f"generation ({chain.bad_generations} corrupt); "
+                            f"restore one from backup, then repair again"
                         )
-                    if rows is None:
-                        rows = {}
-                    elif generation > 0:
-                        self.stats.snapshot_fallbacks += 1
-                        _log.warning(
-                            "repair %s: rolled back to snapshot generation "
-                            "%d (acknowledged records after it are lost)",
-                            name, generation,
-                        )
-                    scan = self._read_wal(name, wal)
-                    for op, values, meta in scan.ops:
-                        if op == "+":
-                            rows[values] = None
-                        else:
-                            rows.pop(values, None)
-                        _replay_session_frame(sessions, op, meta)
-                    if sessions:
-                        self._sessions[name] = sessions
-                    self.stats.wal_records_replayed += len(scan.ops)
-                    wal.records_since_snapshot = len(scan.ops)
-                    attr_names = self._inner._shard(name).scheme.attributes.names
-                    # fresh shard build: re-validates the recovered rows
-                    # against the scheme's embedded cover and leaves the
-                    # tableau for the bulk kernel's lazy re-chase
-                    self._inner.reload_shard(
-                        name,
-                        [dict(zip(attr_names, values)) for values in rows],
-                    )
+                    self._inner.reload_shard(name, self._adopt_chain(name, chain))
                 # a clean snapshot collapses the repaired state into
                 # generation 0 and truncates the WAL — the next open
                 # recovers the healed state directly
@@ -2119,34 +2190,158 @@ class DurableShardedService(WindowQueryAPI):
                 # validation failure (corrupt rows violating the cover)
                 # or anything unexpected: stay quarantined, report why
                 self._set_status(
-                    name, SHARD_QUARANTINED,
-                    self._shard_errors.get(name, "repair failed"),
+                    name, SHARD_QUARANTINED, shard.error or "repair failed"
                 )
                 raise
             self._set_status(name, SHARD_SERVING)
-            self._void_shards.discard(name)
-            _log.info(
-                "shard %s repaired: generation=%s rows=%d replayed=%d "
-                "dropped_staged=%d (was %s)",
-                name, generation, len(rows), len(scan.ops), dropped, previous,
-            )
-            return {
+            shard.void = False
+        report = {
+            "shard": name,
+            "previous_status": previous,
+            "generation": chain.generation,
+            "rows": len(chain.rows),
+            "wal_records_replayed": len(chain.scan.ops),
+            "staged_records_dropped": dropped,
+            "wal_corrupt_regions": chain.scan.corrupt_regions,
+            "wal_stranded_records": chain.scan.stranded_records,
+        }
+        _log.info("shard %s repaired: %s", name, report)
+        return report
+
+    # -- replication: failover and rejoin ----------------------------------------
+
+    def failover(self, name: str, label: Optional[str] = None) -> Dict[str, object]:
+        """Promote a replica to primary for one shard (the
+        most-caught-up one, or the ``label``-named one) by swapping
+        the shard's store for the replica's.
+
+        Live path (the shard quarantined while this process holds its
+        state): the in-memory shard — which contains every acked write
+        and possibly a few unacked ones, both legal — is collapsed
+        into a clean snapshot on the promoted store.  Void path (the
+        shard opened with no readable chain): the promoted chain is
+        read and bulk-loaded through :meth:`~repro.weak.sharded.
+        ShardedWeakInstanceService.reload_shard` (lazy bulk-kernel
+        re-chase), session table included.  Either way the shard ends
+        SERVING on the replica's files, the planner re-routes, the
+        replication epoch bumps, and the demoted store is remembered
+        for :meth:`rejoin`.
+
+        Raises :class:`~repro.exceptions.NoPromotableReplicaError`
+        (shard state untouched) when no replica has a readable chain."""
+        self._ensure_open()
+        self._inner._shard(name)
+        shard = self._shards[name]
+        with shard.lock:
+            was_void = shard.void
+            with shard.wal.io_lock:
+                self._fault("failover.begin")
+                promoted = self._manager.promote(name, label)
+                # the staged backlog is applied in memory; the post-swap
+                # snapshot below persists it (void shards have no
+                # backlog — they refused every write)
+                self._drop_staged(name, shard.wal)
+                shard.wal.close()
+                demoted = shard.store
+                shard.attach(name, promoted.store)
+                self._demoted[name] = demoted
+            replayed = 0
+            if was_void:
+                chain = self._read_chain(name, shard.store)
+                self._inner.reload_shard(name, self._adopt_chain(name, chain))
+                replayed = len(chain.scan.ops)
+                shard.void = False
+            epoch = self._manager.bump_epoch(name)
+            self._set_status(name, SHARD_SERVING)
+            try:
+                # clean snapshot on the promoted store: captures the
+                # authoritative state, truncates the new WAL, and ships
+                # the install to the remaining replicas (re-alignment)
+                self._snapshot_locked(name)
+            except OSError as exc:
+                raise self._shard_fault(name, exc) from exc
+            self._inner.set_primary(name, promoted.store.label)
+            self.stats.failovers += 1
+            report = {
                 "shard": name,
-                "previous_status": previous,
-                "generation": generation,
-                "rows": len(rows),
-                "wal_records_replayed": len(scan.ops),
-                "staged_records_dropped": dropped,
-                "wal_corrupt_regions": scan.corrupt_regions,
-                "wal_stranded_records": scan.stranded_records,
+                "promoted": promoted.store.label,
+                "demoted": demoted.label,
+                "replication_epoch": epoch,
+                "rebuilt_from_chain": was_void,
+                "wal_records_replayed": replayed,
             }
+            _log.warning(
+                "shard %s failed over to replica %s (replication epoch %d, "
+                "%s rebuild, %d WAL records replayed)",
+                name, promoted.store.label, epoch,
+                "void-chain" if was_void else "live", replayed,
+            )
+            self._fault("failover.promoted")
+            return report
+
+    def rejoin(
+        self,
+        name: str,
+        store: Optional[Union[str, os.PathLike, ShardStore]] = None,
+    ) -> Dict[str, object]:
+        """Bring a store (default: the one demoted by the last
+        failover of this shard) back as a replica, after anti-entropy
+        catch-up — ship the missing WAL suffix when its chain is a
+        prefix of the primary's, snapshot-copy past anything else."""
+        self._ensure_open()
+        self._inner._shard(name)
+        if store is None:
+            store = self._demoted.get(name)
+            if store is None:
+                raise ReplicationError(
+                    f"shard {name!r}: no demoted store recorded; pass the "
+                    f"store to rejoin"
+                )
+        elif not isinstance(store, ShardStore):
+            store = ShardStore(store)
+        shard = self._shards[name]
+        with shard.lock:
+            # the chain must be complete before it is copied
+            self.commit_shards([name])
+            with shard.wal.io_lock:
+                self._fault("rejoin.begin")
+                before = store.chain_summary(name)
+                self._manager.add_target(name, store)
+                self._demoted.pop(name, None)
+                self.stats.rejoins += 1
+                self._fault("rejoin.done")
+        _log.info("shard %s: store %s rejoined as replica", name, store.label)
+        return {
+            "shard": name,
+            "label": store.label,
+            "chain_before": before,
+            "chain_after": store.chain_summary(name),
+        }
+
+    def replication_status(self) -> Dict[str, object]:
+        """Per-shard replication surface: epoch, per-replica lag
+        (frames behind, seconds since last ack), acked offsets, and
+        the current primary label."""
+        return {
+            "mode": "sync" if self.sync_ship else "async",
+            "shards": {
+                name: {
+                    "epoch": self._manager.epochs.get(name, 0),
+                    "replicas": self._manager.lag(name),
+                    "primary": self._inner.primary_of(name),
+                }
+                for name in sorted(self._shards)
+            },
+        }
 
     # -- reads and delegation ----------------------------------------------------
 
+    @_fails_over
     def window(self, attrset, version: Optional[int] = None):
         self._ensure_open()
         return self._inner.window(attrset, version=version)
 
+    @_fails_over
     def query(self, query, version: Optional[int] = None):
         """Relational query against the inner sharded service (its
         engine, its routing, its epoch- and version-stamped caches).
@@ -2192,16 +2387,19 @@ class DurableShardedService(WindowQueryAPI):
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Commit anything staged and close the WAL files (idempotent;
-        a crashed instance just closes its files, and a sick shard's
-        backlog stays on its disk problem — best-effort flush)."""
+        """Commit anything staged, close the WAL files, and let the
+        async shipper drain (idempotent; a crashed instance just closes
+        its files, and a sick shard's backlog stays on its disk problem
+        — best-effort flush)."""
         if not self._crashed:
             try:
                 self.commit()
             except ShardQuarantinedError:
                 pass  # healthy shards committed; the sick one cannot
-        for wal in self._wals.values():
-            wal.close()
+        for shard in self._shards.values():
+            shard.wal.close()
+        self._manager.flush()
+        self._manager.stop()
 
     def __enter__(self) -> "DurableShardedService":
         return self
@@ -2213,7 +2411,7 @@ class DurableShardedService(WindowQueryAPI):
         return (
             f"DurableShardedService<root={str(self.root)!r}, "
             f"tuples={self.total_tuples()}, "
-            f"staged={sum(w.pending_records for w in self._wals.values())}, "
+            f"staged={sum(s.wal.pending_records for s in self._shards.values())}, "
             f"crashed={self._crashed}>"
         )
 
@@ -2221,23 +2419,47 @@ class DurableShardedService(WindowQueryAPI):
 # -- offline scrubbing ------------------------------------------------------------
 
 
-def _wal_frame_crcs(data: bytes) -> List[int]:
-    """The CRC sequence of a WAL image's intact prefix — the identity
-    the replica cross-check compares (two chains agree exactly when
-    one CRC sequence is a prefix of the other)."""
-    crcs: List[int] = []
-    offset = 0
-    header = _FRAME.size
-    total = len(data)
-    while offset + header <= total:
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + header
-        end = start + length
-        if end > total or crc32(data[start:end]) != crc:
-            break
-        crcs.append(crc)
-        offset = end
-    return crcs
+def _scrub_shard(
+    store: ShardStore, name: str
+) -> PyTuple[Dict[str, object], Optional[ShardChain]]:
+    """Scrub one shard chain offline — every snapshot generation's
+    structure and CRC, every WAL frame, a stray tmp file — for
+    :func:`verify_store`.  Returns the report entry and the chain
+    (``None`` when the directory is missing or the WAL unreadable)."""
+    entry: Dict[str, object] = {"snapshots": [], "wal_records": 0, "findings": []}
+    findings: List[str] = entry["findings"]
+    directory = store.shard_dir(name)
+    if not directory.is_dir():
+        entry["missing"] = True
+        return entry, None
+    if (directory / _SNAPSHOT_TMP).exists():
+        entry["stray_tmp"] = True
+    try:
+        chain = read_chain(store, name, scrub=True)
+    except OSError as exc:
+        findings.append(f"WAL unreadable: {exc}")
+        return entry, None
+    entry["snapshots"] = chain.snapshots
+    findings.extend(
+        f"snapshot generation {e['generation']}: {e['error']}"
+        for e in chain.snapshots if not e["ok"]
+    )
+    entry["generation"] = chain.generation
+    entry["rows"] = len(chain.rows)
+    scan = chain.scan
+    entry["wal_records"] = len(scan.ops)
+    if scan.corrupt:
+        entry["wal_corrupt_regions"] = scan.corrupt_regions
+        entry["wal_stranded_records"] = scan.stranded_records
+        findings.append(
+            f"WAL mid-file corruption: {scan.corrupt_regions} bad "
+            f"region(s), {scan.stranded_records} intact record(s) "
+            f"stranded, {scan.tail_bytes} byte(s) beyond the trusted prefix"
+        )
+    elif scan.tail_bytes:
+        # expected crash residue: reported, not a failure
+        entry["wal_torn_tail_bytes"] = scan.tail_bytes
+    return entry, chain
 
 
 def verify_store(
@@ -2250,13 +2472,14 @@ def verify_store(
     bytes modified).  The ``repro verify-store`` command prints this.
 
     ``replicas`` are replica store roots (the ``--replica`` flags):
-    each replica's chains are scrubbed the same way, and every
+    each replica's chains are scrubbed by the same code, and every
     replica WAL's frame-CRC sequence is cross-checked against the
     primary's.  A replica that holds a *prefix* of the primary's
     frames (or the reverse, after a primary snapshot-truncation the
     replica has not installed yet) is merely behind — reported, not a
     failure; **divergence** (neither sequence a prefix of the other)
-    is a finding.
+    is a finding.  A replica missing a shard directory has never
+    received that shard: all behind, not damaged.
 
     Returns a report dict: ``ok`` is ``True`` iff nothing worse than a
     torn WAL tail (the expected residue of a crash) was found; each
@@ -2284,20 +2507,19 @@ def verify_store(
     log_path = root / SCHEMA_LOG_NAME
     if log_path.exists():
         try:
-            ops, good = _decode_records(log_path.read_bytes())
+            records, good = _schema_log_records(log_path.read_bytes())
         except OSError as exc:
             findings.append(f"schema.log unreadable: {exc}")
         else:
-            records = [o for o in ops if o[0] == "schema"]
             schema_log["records"] = len(records)
             tail = log_path.stat().st_size - good
             if tail:
                 schema_log["torn_tail_bytes"] = tail
             if records:
+                last = records[-1]
                 try:
-                    last = json.loads(records[-1][1][0])
                     last_epoch = int(last.get("epoch", 0))
-                except (TypeError, ValueError, IndexError):
+                except (TypeError, ValueError):
                     findings.append("schema.log: unparsable last record")
                     last_epoch = None
                 if last_epoch is not None and last_epoch < epoch:
@@ -2323,135 +2545,47 @@ def verify_store(
         findings.append(
             f"manifest names epoch {epoch} but there is no {SCHEMA_LOG_NAME}"
         )
+    names = sorted(manifest.get("schemes", []))
+    primary = ShardStore(root)
     shards: Dict[str, Dict[str, object]] = {}
+    crcs: Dict[str, List[int]] = {}
     ok = not findings
-    for name in sorted(manifest.get("schemes", [])):
-        directory = root / "shards" / name
-        entry: Dict[str, object] = {
-            "snapshots": [],
-            "wal_records": 0,
-            "findings": [],
-        }
-        shard_findings: List[str] = entry["findings"]
-        if not directory.is_dir():
+    for name in names:
+        entry, chain = _scrub_shard(primary, name)
+        crcs[name] = chain.scan.crcs if chain is not None else []
+        if entry.pop("missing", False):
             if name in pending_rollforward:
                 entry["pending_rollforward"] = True
             else:
-                shard_findings.append("shard directory missing")
-        else:
-            if (directory / _SNAPSHOT_TMP).exists():
-                entry["stray_tmp"] = True
-            generation = 0
-            while True:
-                path = (
-                    directory / SNAPSHOT_NAME
-                    if generation == 0
-                    else directory / f"{SNAPSHOT_NAME}.{generation}"
-                )
-                if not path.exists():
-                    if generation == 0:
-                        generation += 1
-                        continue  # gen 0 may be mid-rotation; keep walking
-                    break
-                try:
-                    snap = _parse_snapshot(path.read_bytes(), name)
-                    entry["snapshots"].append(
-                        {"generation": generation, "ok": True,
-                         "tuples": len(snap["tuples"])}
-                    )
-                except (OSError, ReproError) as exc:
-                    entry["snapshots"].append(
-                        {"generation": generation, "ok": False, "error": str(exc)}
-                    )
-                    shard_findings.append(
-                        f"snapshot generation {generation}: {exc}"
-                    )
-                generation += 1
-            wal_path = directory / WAL_NAME
-            if wal_path.exists():
-                try:
-                    scan = _scan_records(wal_path.read_bytes())
-                except OSError as exc:
-                    shard_findings.append(f"WAL unreadable: {exc}")
-                else:
-                    entry["wal_records"] = len(scan.ops)
-                    if scan.corrupt:
-                        entry["wal_corrupt_regions"] = scan.corrupt_regions
-                        entry["wal_stranded_records"] = scan.stranded_records
-                        shard_findings.append(
-                            f"WAL mid-file corruption: {scan.corrupt_regions} "
-                            f"bad region(s), {scan.stranded_records} intact "
-                            f"record(s) stranded, {scan.tail_bytes} byte(s) "
-                            f"beyond the trusted prefix"
-                        )
-                    elif scan.tail_bytes:
-                        # expected crash residue: reported, not a failure
-                        entry["wal_torn_tail_bytes"] = scan.tail_bytes
-        if shard_findings:
+                entry["findings"].append("shard directory missing")
+        if entry["findings"]:
             ok = False
         shards[name] = entry
     replica_reports: Dict[str, Dict[str, object]] = {}
     for replica_root in replicas:
-        replica_root = pathlib.Path(replica_root)
+        store = ShardStore(replica_root)
         rep: Dict[str, object] = {"shards": {}, "findings": []}
-        rep_findings: List[str] = rep["findings"]
-        for name in sorted(manifest.get("schemes", [])):
-            directory = replica_root / "shards" / name
-            rentry: Dict[str, object] = {"wal_records": 0, "findings": []}
-            rentry_findings: List[str] = rentry["findings"]
-            if not directory.is_dir():
-                # a replica that never received this shard is merely
-                # all-behind, not damaged
-                rentry["missing"] = True
-                rep["shards"][name] = rentry
+        for name in names:
+            entry, chain = _scrub_shard(store, name)
+            rep["shards"][name] = entry
+            if entry.get("missing"):
                 continue
-            snap_path = directory / SNAPSHOT_NAME
-            if snap_path.exists():
-                try:
-                    _parse_snapshot(snap_path.read_bytes(), name)
-                    rentry["snapshot_ok"] = True
-                except (OSError, ReproError) as exc:
-                    rentry["snapshot_ok"] = False
-                    rentry_findings.append(f"snapshot: {exc}")
-            wal_path = directory / WAL_NAME
-            replica_crcs: List[int] = []
-            if wal_path.exists():
-                try:
-                    data = wal_path.read_bytes()
-                except OSError as exc:
-                    rentry_findings.append(f"WAL unreadable: {exc}")
-                    data = b""
-                scan = _scan_records(data)
-                rentry["wal_records"] = len(scan.ops)
-                if scan.corrupt:
-                    rentry_findings.append(
-                        f"WAL mid-file corruption: {scan.corrupt_regions} "
-                        f"bad region(s), {scan.stranded_records} record(s) "
-                        f"stranded"
-                    )
-                replica_crcs = _wal_frame_crcs(data)
-            primary_wal = root / "shards" / name / WAL_NAME
-            primary_crcs: List[int] = []
-            if primary_wal.exists():
-                try:
-                    primary_crcs = _wal_frame_crcs(primary_wal.read_bytes())
-                except OSError:  # pragma: no cover - already reported above
-                    primary_crcs = []
+            replica_crcs = chain.scan.crcs if chain is not None else []
+            primary_crcs = crcs[name]
             shorter = min(len(replica_crcs), len(primary_crcs))
             if replica_crcs[:shorter] != primary_crcs[:shorter]:
-                rentry_findings.append(
+                entry["findings"].append(
                     "WAL frame CRCs diverge from the primary's (neither "
                     "chain is a prefix of the other)"
                 )
             elif len(replica_crcs) < len(primary_crcs):
-                rentry["lag_frames"] = len(primary_crcs) - len(replica_crcs)
+                entry["lag_frames"] = len(primary_crcs) - len(replica_crcs)
             elif len(replica_crcs) > len(primary_crcs):
                 # primary truncated by a snapshot the replica has not
                 # installed yet: stale, anti-entropy rejoin fixes it
-                rentry["stale_frames"] = len(replica_crcs) - len(primary_crcs)
-            rep["shards"][name] = rentry
-            if rentry_findings:
-                rep_findings.append(f"shard {name}: damaged or divergent")
+                entry["stale_frames"] = len(replica_crcs) - len(primary_crcs)
+            if entry["findings"]:
+                rep["findings"].append(f"shard {name}: damaged or divergent")
                 ok = False
         replica_reports[str(replica_root)] = rep
     report: Dict[str, object] = {

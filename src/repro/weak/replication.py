@@ -1,101 +1,71 @@
 """Per-shard replication: WAL shipping, failover, anti-entropy rejoin.
 
 The durable layer (:mod:`repro.weak.durable`) made each scheme-shard
-an independent *commit* domain: its own CRC-framed WAL, its own
-snapshot chain, its own quarantine.  This module makes each shard an
-independent **availability** domain.  The argument is Theorem 3 one
-more time: because no cross-shard invariant constrains the
-interleaving of updates, a shard's log can be shipped, acknowledged,
-promoted, and rejoined *per shard*, with no cross-shard coordination
-protocol — no global view change, no distributed commit.  Concretely:
+an independent *commit* domain; replication makes it an independent
+**availability** domain.  The argument is Theorem 3 once more: no
+cross-shard invariant constrains the interleaving of updates, so a
+shard's log can be shipped, acknowledged, promoted, and rejoined *per
+shard* — no global view change, no distributed commit.
 
-* **WAL shipping.**  :class:`ReplicatedShardedService` overrides the
-  durable layer's ``_ship`` seam: every fsynced WAL blob is forwarded,
-  still under that WAL's I/O lock, to N :class:`ReplicaStore` targets
-  — each a directory tree mirroring the primary's per-shard layout
-  (``shards/<name>/wal.log`` + ``snapshot.json``) behind its **own**
-  :class:`~repro.weak.durable.StoreIO`, so every replica is
-  independently fault-injectable.  A replica appends the frames at the
-  expected base offset and fsyncs; the manager records the ack as a
+Replication is not a separate service: a
+:class:`~repro.weak.durable.DurableShardedService` built with
+``replicas=[...]`` ships its chains, one built without them has nothing
+to ship.  This module holds the shipping side, :class:`ReplicationManager`
+(one per service), plus the names older callers import
+(:data:`ReplicaStore`, :data:`ReplicatedShardedService`).  Concretely:
+
+* **WAL shipping.**  Every fsynced WAL blob is forwarded, still under
+  that WAL's I/O lock, to N replica targets — each a
+  :class:`~repro.weak.durable.ShardStore`, the primary's own layout
+  behind the replica's **own** :class:`~repro.weak.durable.StoreIO`
+  (independently fault-injectable).  A replica appends the frames at
+  the expected base offset and fsyncs; the ack is recorded as a
   replication ``(epoch, offset)`` pair plus a cumulative frame count.
   In the default **sync** mode the ship happens before the covering
-  commit tickets release, which strengthens the durability invariant:
-  *acked ⟹ fsynced on the primary AND on every reachable replica*.
-  ``sync_ship=False`` moves shipping to a background thread (weaker:
-  acked ⟹ primary-durable, replicas trail by the queue).
+  commit tickets release: *acked ⟹ fsynced on the primary AND on every
+  reachable replica*.  ``sync_ship=False`` ships from a background
+  thread (acked ⟹ primary-durable; :meth:`ReplicationManager.flush`
+  waits for the queue to land).
 * **Replica faults never fail the primary.**  An ``OSError`` from a
   replica marks that target *behind* (counted, surfaced in
-  ``health()``) and the commit proceeds; the next ship — or an
-  explicit :meth:`ReplicatedShardedService.rejoin` — runs
-  **anti-entropy catch-up**: if the replica's WAL is a byte prefix of
-  the primary's, the missing suffix is shipped; anything else (a
-  truncation the replica missed, divergence) falls back to a
-  **snapshot copy** — install the primary's snapshot bytes, overwrite
-  the WAL — after which the chains are byte-identical.  Catch-up is
-  sound because WAL replay is idempotent over set semantics: replaying
-  any already-applied prefix is the identity (pinned by a property
-  test).
-* **Failover.**  A persistent quarantine
-  (:class:`~repro.exceptions.ShardQuarantinedError` with status
-  ``quarantined``) stops being a dead end: :meth:`failover` promotes
-  the most-caught-up replica — swap the shard's directory and
-  ``StoreIO`` to the replica's, rebuild the in-memory shard from the
-  promoted snapshot + WAL tail **through the bulk kernel** when the
-  primary's chain was unreadable (a live quarantine keeps the
-  in-memory state, which already holds every acked write), collapse to
-  a clean snapshot on the new store (which re-aligns the remaining
-  replicas), bump the shard's replication epoch, and re-route
-  (:meth:`~repro.weak.sharded.ShardedWeakInstanceService.set_primary`).
-  With ``auto_failover=True`` (default) every public write/read entry
-  point retries once through a failover when it hits a quarantined
-  shard, so clients see a hiccup, not an outage.  The demoted store is
-  remembered; :meth:`rejoin` brings it back as a replica via the same
-  anti-entropy path.
-* **Exactly-once sessions** ride on the durable layer's frame
-  metadata: a write stamped ``(session_id, seq)`` records its stamp in
-  the WAL frame and the session table in every snapshot, so the
-  high-water marks replicate and fail over *with the shard's chain*.
-  A duplicate of the recorded operation returns the original outcome
-  instead of re-applying; a same-seq retry whose stamp never reached
-  the promoted chain re-executes — and since the stamp is durable iff
-  the write is, the retry applies the write exactly once.
+  ``health()``); the next ship — or ``rejoin`` — runs **anti-entropy
+  catch-up**: ship the missing suffix when the replica's WAL is a byte
+  prefix of the primary's over the same snapshot, otherwise copy the
+  primary's snapshot and WAL.  Sound because WAL replay is idempotent
+  over set semantics (pinned by a property test).
+* **Failover.**  A persistent quarantine (status ``quarantined``)
+  promotes the most-caught-up replica: the shard's store is swapped for
+  the replica's, a shard whose own chain was unreadable is rebuilt from
+  the promoted chain through the bulk kernel (a live one keeps its
+  in-memory state, which holds every acked write), a clean snapshot on
+  the new store re-aligns the other replicas, the replication epoch
+  bumps, and reads re-route.  Every public write/read entry point
+  retries once through a failover, so clients see a hiccup, not an
+  outage; ``rejoin`` brings the demoted store back as a replica.
+* **Exactly-once sessions** ride on the frame metadata: the
+  ``(session_id, seq)`` stamp is in the WAL frame and the session
+  table in every snapshot, so the high-water marks replicate and fail
+  over *with the shard's chain* — a duplicate returns the original
+  outcome, and a retry whose stamp never reached the promoted chain
+  applies exactly once.
 
-The failure model matches the durable layer's: crash points
-(:data:`REPLICATION_CRASH_POINTS`) fire at the shipping and
-promotion boundaries, and every replica file operation goes through
-the replica's ``StoreIO`` seam.
+Crash points (:data:`REPLICATION_CRASH_POINTS`) fire at the shipping
+and promotion boundaries; every replica file operation goes through
+the replica's ``StoreIO``.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import pathlib
 import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
-from repro.exceptions import (
-    NoPromotableReplicaError,
-    ReplicationError,
-    ShardQuarantinedError,
-)
-from repro.weak.durable import (
-    DurableServiceStats,
-    DurableShardedService,
-    SHARD_QUARANTINED,
-    SHARD_SERVING,
-    SNAPSHOT_NAME,
-    StoreIO,
-    WAL_NAME,
-    _decode_frames,
-    _parse_snapshot,
-    _replay_session_frame,
-    _ShardWal,
-    _SNAPSHOT_TMP,
-)
+from repro.exceptions import NoPromotableReplicaError, ReplicationError
+from repro.weak.durable import DurableShardedService, ShardStore
 
 _log = logging.getLogger(__name__)
 
@@ -110,181 +80,60 @@ REPLICATION_CRASH_POINTS = (
     "rejoin.done",         # anti-entropy complete, target re-registered
 )
 
+#: a replica target is a plain shard store: the primary's layout and
+#: chain reader, behind the replica's own ``StoreIO``
+ReplicaStore = ShardStore
+
+#: the durable service given a replica list (``replicas=[...]``), under
+#: the name callers of the replication layer import
+ReplicatedShardedService = DurableShardedService
+
 
 @dataclass
-class ReplicatedServiceStats(DurableServiceStats):
-    """Durable counters extended with the replication layer's."""
-
-    #: WAL frames acknowledged by replicas (counted once per replica)
-    replica_frames_shipped: int = 0
-    #: WAL bytes acknowledged by replicas
-    replica_bytes_shipped: int = 0
-    #: ships a replica refused with an I/O error (target marked behind)
-    replica_ship_failures: int = 0
-    #: anti-entropy catch-ups that shipped a missing WAL suffix
-    replica_catchups: int = 0
-    #: anti-entropy catch-ups that fell back to a full snapshot copy
-    replica_snapshot_copies: int = 0
-    #: snapshot installs shipped to replicas (primary snapshot cycles)
-    replica_snapshot_installs: int = 0
-    #: shards failed over to a promoted replica
-    failovers: int = 0
-    #: demoted stores re-registered as replicas
-    rejoins: int = 0
-
-
-class ReplicaStore:
-    """One replica target: a root directory mirroring the primary's
-    per-shard layout, behind its own :class:`StoreIO`.
-
-    Byte-oriented on purpose — a replica never re-validates or
-    re-applies operations while following the primary; it appends the
-    exact fsynced frames (or installs the exact snapshot payload), so
-    a promoted replica's chain decodes with the primary's own replay
-    code and CRCs cross-check bit for bit (``verify-store
-    --replica``)."""
-
-    def __init__(
-        self,
-        root: Union[str, os.PathLike],
-        io: Optional[StoreIO] = None,
-        label: Optional[str] = None,
-    ):
-        self.root = pathlib.Path(root)
-        self.io = io if io is not None else StoreIO()
-        self.label = label if label is not None else self.root.name
-
-    def shard_dir(self, name: str) -> pathlib.Path:
-        return self.root / "shards" / name
-
-    def wal_path(self, name: str) -> pathlib.Path:
-        return self.shard_dir(name) / WAL_NAME
-
-    def snapshot_path(self, name: str) -> pathlib.Path:
-        return self.shard_dir(name) / SNAPSHOT_NAME
-
-    def wal_offset(self, name: str) -> int:
-        try:
-            return os.path.getsize(self.wal_path(name))
-        except OSError:
-            return 0
-
-    def read_wal(self, name: str) -> bytes:
-        path = self.wal_path(name)
-        if not path.exists():
-            return b""
-        return self.io.read_bytes(path)
-
-    def read_snapshot(self, name: str) -> Optional[bytes]:
-        path = self.snapshot_path(name)
-        if not path.exists():
-            return None
-        return self.io.read_bytes(path)
-
-    def append(self, name: str, blob: bytes) -> None:
-        """Append a shipped blob to the shard's replica WAL and fsync
-        it (the ack happens only after this returns)."""
-        self.shard_dir(name).mkdir(parents=True, exist_ok=True)
-        path = self.wal_path(name)
-        with open(path, "ab", buffering=0) as handle:
-            self.io.wal_write(handle, blob, path)
-            self.io.wal_fsync(handle, path)
-
-    def install_snapshot(self, name: str, payload: Union[str, bytes]) -> None:
-        """Install a snapshot payload exactly like the primary does —
-        tmp, fsync, rename, directory fsync — then truncate the
-        replica WAL (the primary truncated its own in the same
-        breath)."""
-        directory = self.shard_dir(name)
-        directory.mkdir(parents=True, exist_ok=True)
-        if isinstance(payload, bytes):
-            payload = payload.decode("utf-8")
-        tmp = directory / _SNAPSHOT_TMP
-        self.io.snapshot_write(tmp, payload)
-        self.io.replace(tmp, self.snapshot_path(name))
-        self.io.dir_fsync(directory)
-        wal = self.wal_path(name)
-        if not wal.exists():
-            wal.touch()
-        self.io.truncate(wal, 0)
-
-    def overwrite_wal(self, name: str, data: bytes) -> None:
-        """Make the replica WAL byte-identical to ``data`` (the
-        snapshot-copy leg of anti-entropy)."""
-        self.shard_dir(name).mkdir(parents=True, exist_ok=True)
-        path = self.wal_path(name)
-        with open(path, "wb", buffering=0) as handle:
-            if data:
-                self.io.wal_write(handle, data, path)
-            self.io.wal_fsync(handle, path)
-
-    def chain_summary(self, name: str) -> Dict[str, object]:
-        """Decode the replica's chain for promotion ranking and the
-        health surface: snapshot readability, row count, intact WAL
-        frame count.  I/O errors summarize as unreadable rather than
-        raise — a candidate that cannot be read cannot be promoted."""
-        summary: Dict[str, object] = {
-            "snapshot": False, "rows": 0, "frames": 0, "readable": False,
-        }
-        try:
-            snap_bytes = self.read_snapshot(name)
-            if snap_bytes is not None:
-                snap = _parse_snapshot(snap_bytes, name)
-                summary["snapshot"] = True
-                summary["rows"] = len(snap["tuples"])
-            frames, _good = _decode_frames(self.read_wal(name))
-            summary["frames"] = len(frames)
-            summary["readable"] = True
-        except Exception as exc:  # OSError or ReproError: unusable chain
-            summary["error"] = str(exc)
-        return summary
-
-    def __repr__(self) -> str:
-        return f"ReplicaStore<{self.label}:{str(self.root)!r}>"
-
-
 class _Target:
     """Per-(shard, replica) shipping state inside the manager."""
 
-    __slots__ = (
-        "store", "acked_offset", "acked_frames", "acked_epoch",
-        "last_ack", "error", "synced",
-    )
-
-    def __init__(self, store: ReplicaStore):
-        self.store = store
-        self.acked_offset = 0
-        self.acked_frames = 0
-        self.acked_epoch = 0
-        self.last_ack: Optional[float] = None
-        self.error: Optional[str] = None
-        #: True once the replica's chain has been byte-verified against
-        #: the primary's; the append fast path requires it — an offset
-        #: match alone cannot tell a caught-up chain from an empty WAL
-        #: behind a stale snapshot
-        self.synced = False
+    store: ShardStore
+    acked_offset: int = 0
+    acked_frames: int = 0
+    acked_epoch: int = 0
+    last_ack: Optional[float] = None
+    error: Optional[str] = None
+    #: True once the replica's chain has been byte-verified against
+    #: the primary's; the append fast path requires it — an offset
+    #: match alone cannot tell a caught-up chain from an empty WAL
+    #: behind a stale snapshot
+    synced: bool = False
 
 
 class ReplicationManager:
     """Shipping, acks, lag, promotion, and anti-entropy for every
-    shard of one :class:`ReplicatedShardedService`.
+    shard of one :class:`~repro.weak.durable.DurableShardedService`.
 
-    One lock serializes target-state mutation; the sync ship path runs
-    in the committing thread (under the shard WAL's I/O lock, so
-    frames reach replicas in WAL order), the async path drains a FIFO
-    queue on a daemon thread — same per-item logic, same ordering,
-    weaker ack timing."""
+    ``replicas`` are paths (a :class:`ShardStore` with the default
+    ``StoreIO`` is built over each) or prebuilt stores; duplicate
+    labels get an index suffix.  One lock serializes target-state
+    mutation; the sync ship path runs in the committing thread (under
+    the shard WAL's I/O lock, so frames reach replicas in WAL order),
+    the async path drains a FIFO queue on a daemon thread — same
+    per-item logic, same ordering, weaker ack timing."""
 
     def __init__(
         self,
-        service: "ReplicatedShardedService",
-        stores: Sequence[ReplicaStore],
+        service: DurableShardedService,
+        replicas: Sequence[Union[str, os.PathLike, ShardStore]] = (),
         sync: bool = True,
         clock=time.monotonic,
     ):
         self.service = service
-        self.stores = list(stores)
-        self.sync = sync
+        self.stores = []
+        labels: set = set()
+        for index, replica in enumerate(replicas):
+            store = replica if isinstance(replica, ShardStore) else ShardStore(replica)
+            if store.label in labels:
+                store.label = f"{store.label}-{index}"
+            labels.add(store.label)
+            self.stores.append(store)
         self.clock = clock
         self._lock = threading.RLock()
         self._targets: Dict[str, Dict[str, _Target]] = {}
@@ -322,38 +171,46 @@ class ReplicationManager:
     def ship(self, name: str, blob: bytes, base_offset: int, count: int) -> None:
         """Forward one fsynced blob (sync: caller's thread; async:
         enqueue).  Never raises for a replica's I/O failure."""
-        if self._queue is not None:
-            self._queue.put(("frames", name, blob, base_offset, count))
-            return
-        self._ship_now(name, blob, base_offset, count)
+        self._submit(self._ship_now, name, blob, base_offset, count)
 
     def ship_snapshot(self, name: str, payload: str) -> None:
-        if self._queue is not None:
-            self._queue.put(("snapshot", name, payload, None, None))
-            return
-        self._install_now(name, payload)
+        self._submit(self._install_now, name, payload)
+
+    def _submit(self, step, *args) -> None:
+        if self._queue is None:
+            step(*args)
+        else:
+            self._queue.put((step, args))
+
     def _drain(self) -> None:
         while True:
             item = self._queue.get()
             if item is None:
                 return
-            kind, name, a, b, c = item
+            step, args = item
             try:
-                if kind == "frames":
-                    self._ship_now(name, a, b, c)
-                else:
-                    self._install_now(name, a)
+                step(*args)
             except Exception:  # pragma: no cover - shipping never raises
                 _log.exception("async shipper: unexpected error")
+            finally:
+                self._queue.task_done()
 
-    def flush(self, timeout: float = 5.0) -> None:
-        """Block until the async queue has drained (no-op in sync
-        mode) — the close path and the tests' determinism handle."""
+    def flush(self, timeout: float = 5.0) -> bool:
+        """Block until every queued ship has *landed* — not merely
+        left the queue — or ``timeout`` seconds pass; returns whether
+        it landed (always ``True`` in sync mode).  The close path and
+        the tests' determinism handle."""
         if self._queue is None:
-            return
-        deadline = self.clock() + timeout
-        while not self._queue.empty() and self.clock() < deadline:
-            time.sleep(0.001)
+            return True
+        deadline = time.monotonic() + timeout
+        done = self._queue.all_tasks_done
+        with done:
+            while self._queue.unfinished_tasks:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                done.wait(remaining)
+        return True
 
     def stop(self) -> None:
         if self._queue is not None and self._thread is not None:
@@ -362,43 +219,50 @@ class ReplicationManager:
             self._thread = None
 
     def _ship_now(self, name: str, blob: bytes, base_offset: int, count: int) -> None:
-        stats = self.service.stats
+        def deliver(target: _Target) -> None:
+            if (
+                target.synced
+                and target.error is None
+                and target.store.wal_offset(name) == base_offset
+            ):
+                target.store.append(name, blob)
+            else:
+                # the replica missed something (an earlier failed ship,
+                # a truncation, or it was never verified): re-derive its
+                # chain from the primary's current bytes, which already
+                # include this blob
+                self._sync_target(name, target)
+            self.service.stats.replica_frames_shipped += count
+            self.service.stats.replica_bytes_shipped += len(blob)
+
         with self._lock:
             self._primary_frames[name] = self._primary_frames.get(name, 0) + count
             self._primary_offset[name] = base_offset + len(blob)
-            for target in self._targets_for(name).values():
-                try:
-                    if (
-                        target.synced
-                        and target.error is None
-                        and target.store.wal_offset(name) == base_offset
-                    ):
-                        target.store.append(name, blob)
-                    else:
-                        # the replica missed something (an earlier failed
-                        # ship, a truncation, or it was never verified):
-                        # re-derive its chain from the primary's current
-                        # bytes, which already include this blob
-                        self._sync_target(name, target)
-                    self._ack(name, target)
-                    stats.replica_frames_shipped += count
-                    stats.replica_bytes_shipped += len(blob)
-                except OSError as exc:
-                    self._mark_behind(name, target, exc)
+            self._deliver(name, deliver)
 
     def _install_now(self, name: str, payload: str) -> None:
-        stats = self.service.stats
+        def deliver(target: _Target) -> None:
+            target.store.install_snapshot(name, payload)
+            self.service.stats.replica_snapshot_installs += 1
+
         with self._lock:
             # the primary's WAL is empty right after the truncation the
             # caller just performed; aligned replicas restart at offset 0
             self._primary_offset[name] = 0
-            for target in self._targets_for(name).values():
-                try:
-                    target.store.install_snapshot(name, payload)
-                    self._ack(name, target)
-                    stats.replica_snapshot_installs += 1
-                except OSError as exc:
-                    self._mark_behind(name, target, exc)
+            self._deliver(name, deliver)
+
+    def _deliver(self, name: str, deliver) -> None:
+        """Run ``deliver`` against every target of one shard (manager
+        lock held): a target that took it is acked, one whose disk
+        refused is marked behind — a replica fault never reaches the
+        primary."""
+        for target in self._targets_for(name).values():
+            try:
+                deliver(target)
+            except OSError as exc:
+                self._mark_behind(name, target, exc)
+            else:
+                self._ack(name, target)
 
     def _ack(self, name: str, target: _Target) -> None:
         target.acked_offset = self._primary_offset.get(name, 0)
@@ -423,8 +287,9 @@ class ReplicationManager:
         missing WAL suffix), snapshot-copy otherwise.  Raises
         ``OSError`` when either side's disk refuses."""
         stats = self.service.stats
-        primary_wal = self.service._read_primary_wal(name)
-        primary_snap = self.service._read_primary_snapshot(name)
+        primary = self.service.shard_store(name)
+        primary_wal = primary.read_wal(name)
+        primary_snap = primary.read_snapshot(name)
         replica_snap = target.store.read_snapshot(name)
         # prefix-extension is sound only when both chains start from
         # the SAME snapshot (byte-identical, None included): a stale
@@ -460,24 +325,17 @@ class ReplicationManager:
         replica has a readable chain."""
         with self._lock:
             table = self._targets_for(name)
-            if label is not None:
-                target = table.get(label)
-                if target is None:
-                    raise NoPromotableReplicaError(
-                        name, f"no replica labeled {label!r}"
-                    )
-                summary = target.store.chain_summary(name)
-                if not summary["readable"]:
-                    raise NoPromotableReplicaError(
-                        name, f"replica {label!r}: {summary.get('error')}"
-                    )
-                del table[label]
-                return target
+            if label is not None and label not in table:
+                raise NoPromotableReplicaError(name, f"no replica labeled {label!r}")
             best = None
             best_key = None
-            for target in table.values():
+            for target in table.values() if label is None else [table[label]]:
                 summary = target.store.chain_summary(name)
                 if not summary["readable"]:
+                    if label is not None:
+                        raise NoPromotableReplicaError(
+                            name, f"replica {label!r}: {summary.get('error')}"
+                        )
                     continue
                 key = (
                     target.acked_frames,
@@ -489,7 +347,9 @@ class ReplicationManager:
                 if best_key is None or key > best_key:
                     best, best_key = target, key
             if best is None:
-                raise NoPromotableReplicaError(name, "no readable chain")
+                raise NoPromotableReplicaError(
+                    name, "no readable chain" if table else "no replica registered"
+                )
             del table[best.store.label]
             return best
 
@@ -498,7 +358,7 @@ class ReplicationManager:
             self.epochs[name] = self.epochs.get(name, 0) + 1
             return self.epochs[name]
 
-    def add_target(self, name: str, store: ReplicaStore) -> _Target:
+    def add_target(self, name: str, store: ShardStore) -> _Target:
         """Register (anti-entropy first) one store as a replica of one
         shard — the rejoin path.  Raises :class:`ReplicationError`
         when the store's disk refuses the catch-up."""
@@ -510,9 +370,9 @@ class ReplicationManager:
                 raise ReplicationError(
                     f"shard {name!r}: rejoin of {store.label!r} failed: {exc}"
                 ) from exc
-            self._primary_offset[name] = len(
-                self.service._read_primary_wal(name)
-            )
+            self._primary_offset[name] = self.service.shard_store(
+                name
+            ).wal_offset(name)
             self._targets_for(name)[store.label] = target
             self._ack(name, target)
             return target
@@ -523,8 +383,10 @@ class ReplicationManager:
         """Per-replica lag for one shard: frames behind the primary's
         cumulative count, seconds since the last ack, the acked
         replication ``(epoch, offset)``, and the last error."""
-        now = self.clock()
         with self._lock:
+            # read under the lock: a reader that waited out an
+            # in-flight ship must not see that ship's ack in its future
+            now = self.clock()
             primary_frames = self._primary_frames.get(name, 0)
             report: Dict[str, Dict[str, object]] = {}
             for label, target in self._targets_for(name).items():
@@ -539,304 +401,3 @@ class ReplicationManager:
                     "error": target.error,
                 }
             return report
-
-    def status(self, names: Iterable[str]) -> Dict[str, object]:
-        return {
-            name: {
-                "epoch": self.epochs.get(name, 0),
-                "replicas": self.lag(name),
-            }
-            for name in sorted(names)
-        }
-
-
-class ReplicatedShardedService(DurableShardedService):
-    """A :class:`DurableShardedService` whose per-shard WALs are
-    shipped to replica stores, with automatic per-shard failover and
-    anti-entropy rejoin (module docstring has the protocol).
-
-    ``replicas`` are the targets — paths (a :class:`ReplicaStore` is
-    built over each with the default ``StoreIO``) or prebuilt
-    :class:`ReplicaStore` objects (fault injection hands each replica
-    its own ``FaultyIO``).  ``sync_ship`` picks the durability mode;
-    ``auto_failover`` arms the quarantine-triggered promotion."""
-
-    def __init__(
-        self,
-        schema,
-        fds,
-        root: Union[str, os.PathLike],
-        replicas: Sequence[Union[str, os.PathLike, ReplicaStore]] = (),
-        sync_ship: bool = True,
-        auto_failover: bool = True,
-        **kwargs,
-    ):
-        stores: List[ReplicaStore] = []
-        labels: set = set()
-        for index, replica in enumerate(replicas):
-            store = (
-                replica
-                if isinstance(replica, ReplicaStore)
-                else ReplicaStore(replica)
-            )
-            if store.label in labels:
-                store.label = f"{store.label}-{index}"
-            labels.add(store.label)
-            stores.append(store)
-        self.sync_ship = sync_ship
-        self.auto_failover = auto_failover
-        #: demoted stores remembered per shard for the default rejoin
-        self._demoted: Dict[str, ReplicaStore] = {}
-        # the manager must exist before super().__init__: recovery can
-        # snapshot rolled-forward shards, which ships the install
-        self._manager = ReplicationManager(self, stores, sync=sync_ship)
-        super().__init__(schema, fds, root, **kwargs)
-        if self.auto_failover and stores:
-            # a shard that opened with no readable chain at all can be
-            # rebuilt from a replica right now instead of waiting for
-            # the first write to trip over it
-            for name in sorted(set(self._void_shards)):
-                try:
-                    self.failover(name)
-                except (ReplicationError, ShardQuarantinedError) as exc:
-                    _log.warning(
-                        "startup failover of void shard %s failed: %s",
-                        name, exc,
-                    )
-
-    def _make_stats(self) -> ReplicatedServiceStats:
-        return ReplicatedServiceStats()
-
-    # -- the durable layer's replication seams -----------------------------------
-
-    def _read_primary_wal(self, name: str) -> bytes:
-        wal = self._wals[name]
-        if not wal.path.exists():
-            return b""
-        return wal.io.read_bytes(wal.path)
-
-    def _read_primary_snapshot(self, name: str) -> Optional[bytes]:
-        path = self.snapshot_path(name)
-        if not path.exists():
-            return None
-        return self._io_for(name).read_bytes(path)
-
-    def _ship(self, name: str, blob: bytes, base_offset: int, count: int) -> None:
-        if not self._manager.stores and not self._manager.has_targets(name):
-            return
-        self._fault("ship.begin")
-        self._manager.ship(name, blob, base_offset, count)
-
-    def _on_snapshot(self, name: str, payload: str) -> None:
-        if not self._manager.stores and not self._manager.has_targets(name):
-            return
-        self._manager.ship_snapshot(name, payload)
-
-    # -- failover ----------------------------------------------------------------
-
-    def failover(self, name: str, label: Optional[str] = None) -> Dict[str, object]:
-        """Promote a replica to primary for one shard (the
-        most-caught-up one, or the ``label``-named one).
-
-        Live path (the shard quarantined while this process holds its
-        state): the in-memory shard — which contains every acked write
-        and possibly a few unacked ones, both legal — is collapsed
-        into a clean snapshot on the promoted store.  Void path (the
-        shard opened with no readable chain): the promoted snapshot +
-        WAL tail is replayed and bulk-loaded through
-        :meth:`~repro.weak.sharded.ShardedWeakInstanceService.
-        reload_shard` (lazy bulk-kernel re-chase), session table
-        included.  Either way the shard ends SERVING on the replica's
-        files, the planner re-routes, the replication epoch bumps, and
-        the demoted store is remembered for :meth:`rejoin`.
-
-        Raises :class:`NoPromotableReplicaError` (shard state
-        untouched) when no replica has a readable chain."""
-        self._ensure_open()
-        self._inner._shard(name)
-        with self._locks[name]:
-            old_wal = self._wals[name]
-            was_void = name in self._void_shards
-            with old_wal.io_lock:
-                self._fault("failover.begin")
-                promoted = self._manager.promote(name, label)
-                with self._stage_lock:
-                    # the staged backlog is applied in memory; the
-                    # post-swap snapshot below persists it (void shards
-                    # have no backlog — they refused every write)
-                    old_wal.take_pending()
-                    if name in self._dirty:
-                        self._dirty.remove(name)
-                old_wal.close()
-                old_dir = self._shard_dir(name)
-                old_io = self._io_for(name)
-                old_label = self._inner.primary_of(name)
-                self._shard_dirs[name] = promoted.store.shard_dir(name)
-                self._shard_ios[name] = promoted.store.io
-                new_wal = _ShardWal(self.wal_path(name), promoted.store.io)
-                self._wals[name] = new_wal
-                self._demoted[name] = ReplicaStore(
-                    old_dir.parent.parent, io=old_io, label=old_label
-                )
-            replayed = 0
-            if was_void:
-                rows, _generation, bad, _epoch, sessions = (
-                    self._load_snapshot_rows(name)
-                )
-                if rows is None:
-                    rows = {}
-                scan = self._read_wal(name, new_wal)
-                for op, values, meta in scan.ops:
-                    if op == "+":
-                        rows[values] = None
-                    else:
-                        rows.pop(values, None)
-                    _replay_session_frame(sessions, op, meta)
-                replayed = len(scan.ops)
-                self.stats.wal_records_replayed += replayed
-                attr_names = self._inner._shard(name).scheme.attributes.names
-                self._inner.reload_shard(
-                    name,
-                    [dict(zip(attr_names, values)) for values in rows],
-                )
-                if sessions:
-                    self._sessions[name] = sessions
-                self._void_shards.discard(name)
-                new_wal.records_since_snapshot = replayed
-            epoch = self._manager.bump_epoch(name)
-            self._set_status(name, SHARD_SERVING)
-            try:
-                # clean snapshot on the promoted store: captures the
-                # authoritative state, truncates the new WAL, and ships
-                # the install to the remaining replicas (re-alignment)
-                self._snapshot_locked(name)
-            except OSError as exc:
-                raise self._shard_fault(name, exc) from exc
-            self._inner.set_primary(name, promoted.store.label)
-            self.stats.failovers += 1
-            _log.warning(
-                "shard %s failed over to replica %s (replication epoch %d, "
-                "%s rebuild, %d WAL records replayed)",
-                name, promoted.store.label, epoch,
-                "void-chain" if was_void else "live", replayed,
-            )
-            self._fault("failover.promoted")
-            return {
-                "shard": name,
-                "promoted": promoted.store.label,
-                "demoted": old_label,
-                "replication_epoch": epoch,
-                "rebuilt_from_chain": was_void,
-                "wal_records_replayed": replayed,
-            }
-
-    def rejoin(
-        self,
-        name: str,
-        store: Optional[Union[str, os.PathLike, ReplicaStore]] = None,
-    ) -> Dict[str, object]:
-        """Bring a store (default: the one demoted by the last
-        failover of this shard) back as a replica, after anti-entropy
-        catch-up — ship the missing WAL suffix when its chain is a
-        prefix of the primary's, snapshot-copy past anything else."""
-        self._ensure_open()
-        self._inner._shard(name)
-        if store is None:
-            store = self._demoted.get(name)
-            if store is None:
-                raise ReplicationError(
-                    f"shard {name!r}: no demoted store recorded; pass the "
-                    f"store to rejoin"
-                )
-        elif not isinstance(store, ReplicaStore):
-            store = ReplicaStore(store)
-        with self._locks[name]:
-            # the chain must be complete before it is copied
-            self.commit_shards([name])
-            wal = self._wals[name]
-            with wal.io_lock:
-                self._fault("rejoin.begin")
-                before = store.chain_summary(name)
-                self._manager.add_target(name, store)
-                self._demoted.pop(name, None)
-                self.stats.rejoins += 1
-                self._fault("rejoin.done")
-        _log.info("shard %s: store %s rejoined as replica", name, store.label)
-        return {
-            "shard": name,
-            "label": store.label,
-            "chain_before": before,
-            "chain_after": store.chain_summary(name),
-        }
-
-    # -- quarantine-triggered failover wrappers ----------------------------------
-
-    def _with_failover(self, fn, *args, **kwargs):
-        """Run one entry point; on a *quarantine* (not a degrade —
-        ENOSPC probes self-heal) promote a replica and retry once.
-        When no replica is promotable the original quarantine error
-        stands, exactly as without replication."""
-        try:
-            return fn(*args, **kwargs)
-        except ShardQuarantinedError as exc:
-            if not self.auto_failover or exc.status != SHARD_QUARANTINED:
-                raise
-            try:
-                self.failover(exc.shard)
-            except (ReplicationError, ShardQuarantinedError):
-                raise exc from None
-            return fn(*args, **kwargs)
-
-    def apply_insert(self, scheme_name, row, session=None):
-        return self._with_failover(
-            super().apply_insert, scheme_name, row, session=session
-        )
-
-    def apply_delete(self, scheme_name, row, session=None):
-        return self._with_failover(
-            super().apply_delete, scheme_name, row, session=session
-        )
-
-    def apply_insert_many(self, ops):
-        ops = list(ops)
-        return self._with_failover(super().apply_insert_many, ops)
-
-    def commit(self):
-        return self._with_failover(super().commit)
-
-    def commit_shards(self, names):
-        names = sorted(set(names))
-        return self._with_failover(super().commit_shards, names)
-
-    def snapshot(self, name=None):
-        return self._with_failover(super().snapshot, name)
-
-    def window(self, attrset, version=None):
-        return self._with_failover(super().window, attrset, version=version)
-
-    def query(self, query, version=None):
-        return self._with_failover(super().query, query, version=version)
-
-    # -- observability and lifecycle ---------------------------------------------
-
-    def replication_status(self) -> Dict[str, object]:
-        """Per-shard replication surface: epoch, per-replica lag
-        (frames behind, seconds since last ack), acked offsets, and
-        the current primary label."""
-        status = self._manager.status(self._wals)
-        for name, entry in status.items():
-            entry["primary"] = self._inner.primary_of(name)
-        return {
-            "mode": "sync" if self.sync_ship else "async",
-            "shards": status,
-        }
-
-    def health(self) -> Dict[str, object]:
-        report = super().health()
-        report["replication"] = self.replication_status()
-        return report
-
-    def close(self) -> None:
-        super().close()
-        self._manager.flush()
-        self._manager.stop()

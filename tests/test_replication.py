@@ -11,6 +11,10 @@ property anti-entropy leans on.
 """
 
 import errno
+import shutil
+import struct
+import threading
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -24,6 +28,7 @@ from repro.exceptions import (
 )
 from repro.weak.durable import (
     DurableShardedService,
+    StoreIO,
     _encode_record,
     verify_store,
 )
@@ -49,6 +54,20 @@ def shard_rows(service, name):
 
 def row(schema, name, *values):
     return dict(zip(schema[name].attributes.names, values))
+
+
+class SlowIO(StoreIO):
+    """A replica disk whose WAL writes take ``delay`` seconds; sets
+    ``writing`` when a write starts, so a test can act mid-ship."""
+
+    def __init__(self, delay=0.2):
+        self.delay = delay
+        self.writing = threading.Event()
+
+    def wal_write(self, handle, blob, path):
+        self.writing.set()
+        time.sleep(self.delay)
+        super().wal_write(handle, blob, path)
 
 
 def chain_bytes(root, name):
@@ -129,6 +148,34 @@ class TestShipping:
             svc._manager.flush()
             assert chain_bytes(root, "R1") == chain_bytes(tmp_path / "d", "R1")
             assert svc.replication_status()["mode"] == "async"
+
+    def test_async_flush_waits_for_the_last_ship_to_land(self, tmp_path, chain2):
+        """``flush`` must wait for the item the shipper already took
+        off the queue, not only for an empty queue."""
+        schema, fds = chain2
+        root = tmp_path / "r1"
+        replica = ReplicaStore(root, io=SlowIO())
+        with ReplicatedShardedService(
+            schema, fds, tmp_path / "d", replicas=[replica], sync_ship=False
+        ) as svc:
+            svc.insert("R1", row(schema, "R1", "a", "b"))
+            assert svc._manager.flush()
+            assert chain_bytes(root, "R1") == chain_bytes(tmp_path / "d", "R1")
+
+    def test_lag_never_reports_an_ack_from_the_future(self, tmp_path, chain2):
+        schema, fds = chain2
+        slow = SlowIO()
+        replica = ReplicaStore(tmp_path / "r1", io=slow)
+        with ReplicatedShardedService(
+            schema, fds, tmp_path / "d", replicas=[replica], sync_ship=False
+        ) as svc:
+            svc.insert("R1", row(schema, "R1", "a", "b"))
+            svc._manager.flush()
+            slow.writing.clear()
+            svc.insert("R1", row(schema, "R1", "c", "d"))
+            assert slow.writing.wait(5.0)  # the second ship is in flight
+            lag = svc.replication_status()["shards"]["R1"]["replicas"]["r1"]
+            assert lag["seconds_since_ack"] >= 0
 
     def test_health_surfaces_replication(self, tmp_path, chain2):
         schema, fds = chain2
@@ -321,7 +368,7 @@ class TestFailover:
             svc.insert("R1", row(schema, "R1", "c", "d"))
             report = svc.rejoin("R1")
             assert report["label"] == "primary"
-            promoted_dir = svc._shard_dir("R1").parent.parent
+            promoted_dir = svc.shard_store("R1").root
             assert chain_bytes(root, "R1") == chain_bytes(promoted_dir, "R1")
             assert svc.stats.rejoins == 1
 
@@ -377,6 +424,25 @@ class TestSessions:
             assert dup.accepted
             assert svc.stats.session_dedup_hits == 1
 
+    @pytest.mark.parametrize("path", ["restart", "snapshot-truncation"])
+    def test_recovered_duplicate_returns_the_original_tuple(
+        self, tmp_path, chain2, path
+    ):
+        """A duplicate answered from a recovered session stamp (the
+        live outcome died with the old process) still reports the
+        tuple the original insert stored."""
+        schema, fds = chain2
+        r = row(schema, "R1", "a", "b")
+        with DurableShardedService(schema, fds, tmp_path / "d") as svc:
+            first = svc.insert("R1", r, session=("c1", 7))
+            if path == "snapshot-truncation":
+                svc.snapshot("R1")
+        with DurableShardedService(schema, fds, tmp_path / "d") as svc:
+            dup = svc.insert("R1", r, session=("c1", 7))
+            assert svc.stats.session_dedup_hits == 1
+            assert dup.tuple is not None
+            assert dup.tuple == first.tuple
+
     def test_session_survives_failover(self, tmp_path, chain2):
         schema, fds = chain2
         with ReplicatedShardedService(
@@ -412,6 +478,118 @@ class TestSessions:
         with WeakInstanceServer(svc, workers=1) as server:
             with pytest.raises(ReproError):
                 server.insert("R1", row(schema, "R1", "a", "b"), session=("c", 1))
+
+
+# -- one chain reader: every reader agrees on the same damaged bytes ------------
+
+
+def _damage_wal(wal, damage):
+    data = bytearray(wal.read_bytes())
+    if damage == "torn-tail":
+        del data[-5:]  # the last frame never fully landed
+    else:
+        # flip a payload byte of the second frame: the frames after it
+        # are intact but stranded
+        length, _ = struct.unpack_from("<II", data, 0)
+        data[8 + length + 10] ^= 0x40
+    wal.write_bytes(bytes(data))
+
+
+class TestOneChainReader:
+    @pytest.mark.parametrize(
+        "damage, frames", [("torn-tail", 3), ("mid-file", 1)]
+    )
+    def test_every_reader_agrees_on_a_damaged_chain(
+        self, tmp_path, chain2, damage, frames
+    ):
+        """The same damaged chain, read as a primary (reopen, repair,
+        verify-store) and as a replica (chain summary, then a
+        void-shard failover that promotes it), must give one
+        replayed-record count and one row set."""
+        schema, fds = chain2
+        built = tmp_path / "built"
+        with ReplicatedShardedService(
+            schema, fds, built / "d", replicas=[built / "r1"]
+        ) as svc:
+            for k in range(2):
+                svc.insert("R1", row(schema, "R1", f"a{k}", f"b{k}"))
+            svc.snapshot("R1")
+            for k in range(2, 6):
+                svc.insert("R1", row(schema, "R1", f"a{k}", f"b{k}"))
+        assert chain_bytes(built / "d", "R1") == chain_bytes(built / "r1", "R1")
+        for store in ("d", "r1"):
+            _damage_wal(built / store / "shards" / "R1" / "wal.log", damage)
+        expected = sorted(
+            (f"a{k}", f"b{k}") for k in range(2 + frames)
+        )
+
+        def fresh(label):
+            target = tmp_path / label
+            shutil.copytree(built, target)
+            return target
+
+        counts = {}
+        root = fresh("reopen")
+        with DurableShardedService(schema, fds, root / "d") as svc:
+            assert shard_rows(svc, "R1") == expected
+            counts["reopen"] = svc.stats.wal_records_replayed
+        root = fresh("repair")
+        with DurableShardedService(schema, fds, root / "d") as svc:
+            report = svc.repair("R1")
+            assert shard_rows(svc, "R1") == expected
+            assert report["rows"] == len(expected)
+            counts["repair"] = report["wal_records_replayed"]
+        entry = verify_store(fresh("verify") / "d")["shards"]["R1"]
+        assert entry["rows"] == len(expected)
+        counts["verify_store"] = entry["wal_records"]
+        summary = ReplicaStore(fresh("summary") / "r1").chain_summary("R1")
+        assert summary["readable"] and summary["rows"] == len(expected)
+        counts["chain_summary"] = summary["frames"]
+        root = fresh("failover")
+        (root / "d" / "shards" / "R1" / "snapshot.json").write_bytes(b"lost")
+        with ReplicatedShardedService(
+            schema, fds, root / "d", replicas=[root / "r1"]
+        ) as svc:
+            assert svc.stats.failovers == 1
+            assert svc.inner.primary_of("R1") == "r1"
+            assert shard_rows(svc, "R1") == expected
+            counts["failover"] = svc.stats.wal_records_replayed
+        assert counts == dict.fromkeys(counts, frames)
+
+    def test_primary_readers_agree_on_a_bad_generation_zero(
+        self, tmp_path, chain2
+    ):
+        """A corrupt newest snapshot: reopen, repair and verify-store
+        all fall back to the same older generation (replicas keep a
+        single generation, so they have no fallback to agree on)."""
+        schema, fds = chain2
+        built = tmp_path / "built"
+        with DurableShardedService(schema, fds, built) as svc:
+            svc.insert("R1", row(schema, "R1", "a", "b"))
+            svc.snapshot("R1")
+            svc.insert("R1", row(schema, "R1", "c", "d"))
+            svc.snapshot("R1")
+            svc.insert("R1", row(schema, "R1", "e", "f"))
+        snap = built / "shards" / "R1" / "snapshot.json"
+        blob = bytearray(snap.read_bytes())
+        blob[len(blob) // 2] ^= 0x40
+        snap.write_bytes(bytes(blob))
+        # generation 1 holds {ab}; the WAL tail after generation 0
+        # holds ef — the cd insert is the documented rollback
+        expected = [("a", "b"), ("e", "f")]
+        reopen, repair, scrub = (tmp_path / x for x in ("reopen", "repair", "scrub"))
+        for target in (reopen, repair, scrub):
+            shutil.copytree(built, target)
+        with DurableShardedService(schema, fds, reopen) as svc:
+            assert svc.stats.snapshot_fallbacks == 1
+            assert shard_rows(svc, "R1") == expected
+        with DurableShardedService(schema, fds, repair) as svc:
+            report = svc.repair("R1")
+            assert report["generation"] == 1
+            assert shard_rows(svc, "R1") == expected
+        entry = verify_store(scrub)["shards"]["R1"]
+        assert entry["generation"] == 1
+        assert entry["rows"] == len(expected)
 
 
 # -- WAL-replay idempotence (the anti-entropy invariant) -------------------------
