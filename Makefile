@@ -11,7 +11,7 @@ export PYTHONPATH
 # Makefile benefits from parallel make, so pin the whole file serial.
 .NOTPARALLEL:
 
-.PHONY: help test test-fault test-evolution test-replication loc bench bench-all bench-chase-bulk-tiny bench-weak bench-weak-tiny bench-weak-deletes bench-weak-deletes-tiny bench-weak-local bench-weak-local-tiny bench-query bench-query-tiny bench-serve bench-serve-tiny bench-replication bench-replication-tiny bench-evolution bench-evolution-tiny profile-chase docs clean
+.PHONY: help test test-fault test-evolution test-replication loc perfbench-smoke bench bench-all bench-chase-bulk-tiny bench-weak bench-weak-tiny bench-weak-deletes bench-weak-deletes-tiny bench-weak-local bench-weak-local-tiny bench-query bench-query-tiny bench-serve bench-serve-tiny bench-replication bench-replication-tiny bench-evolution bench-evolution-tiny profile-chase docs clean
 
 help:
 	@echo "targets:"
@@ -20,6 +20,7 @@ help:
 	@echo "  test-evolution          - schema-evolution suite: op catalog, incremental re-check vs full analysis, online migration oracles, migration crash-point recovery matrix"
 	@echo "  test-replication        - replication suite: WAL shipping/anti-entropy units, exactly-once sessions, kill-and-failover matrix under concurrent load"
 	@echo "  loc                     - design-size measures: per-module line counts of src/repro/weak and the named parameters of each public service constructor"
+	@echo "  perfbench-smoke         - 1 s perfbench run of each workload, untraced and traced (every run checks its own answers; fails on a nonzero exit)"
 	@echo "  bench                   - all benchmarks; regenerates BENCH_chase.json, BENCH_weak.json and benchmarks/results.txt"
 	@echo "  bench-all               - every bench suite, strictly one after another (single recipe, immune to -j)"
 	@echo "  bench-chase-bulk-tiny   - bulk-kernel vs indexed engine at smoke scale (CI gate: >=2x)"
@@ -70,6 +71,16 @@ test-replication:
 # under its own name but counted once in the total).
 loc:
 	$(PYTHON) tools/loc.py
+
+# One short perfbench run per workload, untraced and traced.  Every run
+# checks its answers against the model and a crash-copy recovery and
+# exits nonzero on any failure; the traced run also wraps program
+# methods by name, so a rename that breaks those wrappers fails here.
+perfbench-smoke:
+	@for w in ingest query-mix; do for t in 0 1; do \
+		echo "perfbench-smoke: $$w --trace $$t"; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace $$t || exit 1; \
+	done; done
 
 # bench_* files are not collected by the default pytest run, so name them.
 bench:

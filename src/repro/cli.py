@@ -423,7 +423,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     auto_commit=args.workers == 0,
                     replicas=replica_roots,
                     sync_ship=not args.async_ship,
-                    bulk_loads=args.bulk_load,
                 )
             except (ReproError, OSError) as exc:
                 # a corrupt or unreadable store at open time is an
@@ -437,13 +436,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 return 1
         else:
             service = ShardedWeakInstanceService(
-                scenario.schema, scenario.fds, report=report,
-                bulk_loads=args.bulk_load,
+                scenario.schema, scenario.fds, report=report
             )
     else:
         service = WeakInstanceService(
-            scenario.schema, scenario.fds, method=args.method,
-            bulk_loads=args.bulk_load,
+            scenario.schema, scenario.fds, method=args.method
         )
     recovered = args.durable and service.stats.recoveries > 0
     if recovered:
@@ -691,18 +688,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="chase",
         help="'local' serves through the independence-aware sharded "
         "service (Theorem 3: O(1) per insert, updates confined to one "
-        "per-scheme shard; requires an independent schema — validated "
-        "up front with a counterexample report); 'chase' keeps one "
+        "per-scheme shard, which is also the unit of locking, health "
+        "status and, with --durable, of the WAL and store; requires an "
+        "independent schema — validated up front with a counterexample "
+        "report); 'chase' keeps one "
         "global incrementally-chased tableau and works for any schema "
         "(default)",
-    )
-    p.add_argument(
-        "--bulk-load",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="route cold loads and rebuilds through the column-major "
-        "bulk chase kernel (default: on; --no-bulk-load pins the "
-        "row-at-a-time path)",
     )
     p.add_argument(
         "--durable",

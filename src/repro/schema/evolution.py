@@ -50,7 +50,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple as PyTuple,
 )
@@ -378,20 +377,25 @@ class MergeSchemes(EvolutionOp):
         return tuple(self.schemes)
 
     def migrate_relations(self, schema, relations):
+        # a hash join, member by member: each member's rows are indexed
+        # by the attributes it shares with the rows joined so far, so
+        # the output keeps the nested-loop order (for each joined row,
+        # its matching member rows in stored order)
         joined: List[Dict[str, object]] = [{}]
         for name in self.schemes:
             rows = relations.get(name, [])
-            shared_cache: Optional[set] = None
-            next_joined: List[Dict[str, object]] = []
-            for acc in joined:
-                if shared_cache is None:
-                    shared_cache = (
-                        set(rows[0]) & set(acc) if rows and acc else set()
-                    )
-                for row in rows:
-                    if all(acc[a] == row[a] for a in shared_cache):
-                        next_joined.append({**acc, **row})
-            joined = next_joined
+            if not rows or not joined:
+                joined = []
+                continue
+            shared = [a for a in rows[0] if a in joined[0]]
+            index: Dict[PyTuple[object, ...], List[Dict[str, object]]] = {}
+            for row in rows:
+                index.setdefault(tuple(row[a] for a in shared), []).append(row)
+            joined = [
+                {**acc, **row}
+                for acc in joined
+                for row in index.get(tuple(acc[a] for a in shared), ())
+            ]
         return {self.new_name: _dedup(joined)}
 
     def to_json(self):

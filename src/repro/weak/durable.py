@@ -177,7 +177,7 @@ from repro.core.independence import IndependenceReport
 from repro.core.maintenance import InsertOutcome
 from repro.data.states import DatabaseState
 from repro.deps.fd import FD
-from repro.deps.fdset import FDSet
+from repro.deps.fdset import FDSet, as_fdset
 from repro.exceptions import (
     EvolutionRejectedError,
     ReplicationError,
@@ -191,9 +191,14 @@ from repro.schema.evolution import EvolutionOp, evolution_op_from_json
 from repro.schema.relation import RelationScheme
 from repro.weak.service import WindowQueryAPI
 from repro.weak.sharded import (
+    SHARD_DEGRADED,
+    SHARD_QUARANTINED,
+    SHARD_REPAIRING,
+    SHARD_SERVING,
     EvolutionResult,
     ShardedServiceStats,
     ShardedWeakInstanceService,
+    _SchemeShard,
 )
 
 _log = logging.getLogger(__name__)
@@ -245,12 +250,6 @@ _FORMAT = 1
 #: frames larger than this never come out of :func:`_encode_record`;
 #: the resync scanner uses it to reject garbage "headers" cheaply
 _MAX_FRAME_PAYLOAD = 1 << 24
-
-#: per-shard health states (the ``health()`` surface)
-SHARD_SERVING = "serving"
-SHARD_DEGRADED = "degraded"        # read-only: ENOSPC, probing for recovery
-SHARD_QUARANTINED = "quarantined"  # persistent I/O failure: reads+writes refused
-SHARD_REPAIRING = "repairing"      # repair() is rebuilding it from disk
 
 
 class StoreIO:
@@ -1000,28 +999,15 @@ class _ShardWal:
             self._file = None
 
 
-class _Shard:
-    """One shard's durable identity inside the service: the store
-    holding its chain, its WAL, its write lock, and its health."""
-
-    __slots__ = ("store", "wal", "lock", "status", "error", "void")
-
-    def __init__(self, name: str, store: ShardStore):
-        self.lock = threading.RLock()
-        self.status = SHARD_SERVING
-        #: the last failure reason ("" while none is recorded)
-        self.error = ""
-        #: opened with no readable chain at all: the in-memory rows are
-        #: not authoritative, so a failover must rebuild from a replica
-        self.void = False
-        self.attach(name, store)
-
-    def attach(self, name: str, store: ShardStore) -> None:
-        """Point the shard at ``store`` — at open, and when a failover
-        promotes a replica — with a fresh WAL on that store."""
-        store.shard_dir(name).mkdir(parents=True, exist_ok=True)
-        self.store = store
-        self.wal = _ShardWal(store.wal_path(name), store.io)
+def _attach(shard: _SchemeShard, store: ShardStore) -> None:
+    """Point a shard at ``store`` — at open, for a migrated-in scheme,
+    and when a failover promotes a replica — with a fresh WAL on it
+    (a session table survives: it moves with the in-memory state)."""
+    store.shard_dir(shard.name).mkdir(parents=True, exist_ok=True)
+    shard.store = store
+    shard.wal = _ShardWal(store.wal_path(shard.name), store.io)
+    if shard.sessions is None:
+        shard.sessions = {}
 
 
 def _fails_over(method):
@@ -1100,7 +1086,6 @@ class DurableShardedService(WindowQueryAPI):
         rng: Optional[random.Random] = None,
         replicas: Sequence[Union[str, os.PathLike, ShardStore]] = (),
         sync_ship: bool = True,
-        **service_options,
     ):
         # the manager ships this class's chains, so its module imports
         # this one; importing it here keeps that one-way at load time
@@ -1121,16 +1106,6 @@ class DurableShardedService(WindowQueryAPI):
         # a seeded random.Random (or io_jitter=0) to pin the schedule
         self._rng = rng if rng is not None else random.Random()
         self.stats = DurableServiceStats()
-        # retained for evolved-store reopens: the manifest's catalog
-        # wins over the constructor's, and the rebuilt inner service
-        # must keep the caller's tuning options
-        self._service_options = dict(service_options)
-        self._inner = ShardedWeakInstanceService(
-            schema, fds, report=report, stats=self.stats, **service_options
-        )
-        self.schema = self._inner.schema
-        self.fds = self._inner.fds
-        self.report = self._inner.report
         self._crashed = False
         # lock order (outer to inner): shard lock -> _io_lock -> _stage_lock;
         # _commit_cond shares _stage_lock's mutex domain via its own lock
@@ -1140,39 +1115,62 @@ class DurableShardedService(WindowQueryAPI):
         self._staged_gen = 0
         self._committed_gen = -1
         self._dirty: List[str] = []
-        #: one record per shard, built by _init_layout once the catalog
-        #: (the constructor's or an evolved manifest's) is known
-        self._shards: Dict[str, _Shard] = {}
-        # exactly-once session tables, one per shard (Theorem 3 again:
-        # a session is pinned to the shard its writes route to, so the
-        # dedup state replicates and fails over with that shard's chain)
-        self._sessions: Dict[str, Dict[str, dict]] = {}
         self.sync_ship = sync_ship
-        #: stores demoted by a failover, per shard, for the default rejoin
-        self._demoted: Dict[str, ShardStore] = {}
         # exists before recovery: a rolled-forward shard's snapshot
         # ships its install
         self._manager = ReplicationManager(self, replicas, sync=sync_ship)
-        #: the manifest's schema epoch (0 for never-evolved stores)
-        self._manifest_epoch = 0
-        #: the newest ``schema.log`` record, for recovery roll-forward
-        self._pending_evolution: Optional[Dict[str, object]] = None
-        existing = (self.root / MANIFEST_NAME).exists()
-        self._init_layout(existing)
-        if existing:
-            self._recover()
-            # a shard that opened with no readable chain at all can be
-            # rebuilt from a replica right now instead of waiting for
-            # the first write to trip over it
-            void = [n for n, s in self._shards.items() if s.void]
-            for name in sorted(filter(self._manager.has_targets, void)):
-                try:
-                    self.failover(name)
-                except (ReplicationError, ShardQuarantinedError) as exc:
-                    _log.warning(
-                        "startup failover of void shard %s failed: %s",
-                        name, exc,
-                    )
+        manifest = self._read_manifest()
+        epoch = int(manifest.get("epoch", 0)) if manifest else 0
+        if epoch > 0 and manifest.get("schema"):
+            # the store evolved past the catalog it was created with:
+            # the manifest's schema + FDs are authoritative (the
+            # constructor's schema only names the original epoch)
+            evolved = _schema_from_json(manifest["schema"])
+            evolved_fds = _fds_from_json(manifest.get("fds", []))
+            if evolved != schema or evolved_fds != as_fdset(fds):
+                schema, fds, report = evolved, evolved_fds, None
+        self._inner = ShardedWeakInstanceService(
+            schema, fds, report=report, stats=self.stats
+        )
+        self._inner.schema_version = epoch
+        names = sorted(self._inner.shard_names())
+        if manifest is not None and sorted(manifest.get("schemes", [])) != names:
+            raise ReproError(
+                f"durable directory {self.root} was written for schemes "
+                f"{manifest.get('schemes')}, not {names}"
+            )
+        # a migrated-in scheme's directory may not exist yet (crash
+        # between manifest commit and finalize): attaching creates it
+        for shard in self._inner._shards.values():
+            _attach(shard, self._store)
+        if manifest is None:
+            self._write_manifest(self.schema, self.fds, 0)
+            return
+        self._recover()
+        # a shard that opened with no readable chain at all can be
+        # rebuilt from a replica right now instead of waiting for the
+        # first write to trip over it
+        void = [n for n in names if self._inner._shards[n].void]
+        for name in filter(self._manager.has_targets, void):
+            try:
+                self.failover(name)
+            except (ReplicationError, ShardQuarantinedError) as exc:
+                _log.warning(
+                    "startup failover of void shard %s failed: %s",
+                    name, exc,
+                )
+
+    @property
+    def schema(self) -> DatabaseSchema:
+        return self._inner.schema
+
+    @property
+    def fds(self) -> FDSet:
+        return self._inner.fds
+
+    @property
+    def report(self) -> IndependenceReport:
+        return self._inner.report
 
     # -- layout and recovery ----------------------------------------------------
 
@@ -1180,7 +1178,7 @@ class DurableShardedService(WindowQueryAPI):
         """The store holding one shard's chain: the service's own, or
         a promoted replica's after a failover (a name with no shard —
         a retired scheme — maps to the service's own)."""
-        shard = self._shards.get(name)
+        shard = self._inner._shards.get(name)
         return self._store if shard is None else shard.store
 
     def wal_path(self, name: str) -> pathlib.Path:
@@ -1211,58 +1209,24 @@ class DurableShardedService(WindowQueryAPI):
         )
         self.io.replace(tmp, self.root / MANIFEST_NAME)
 
-    def _init_layout(self, existing: bool) -> None:
-        if existing:
-            manifest_path = self.root / MANIFEST_NAME
-            try:
-                manifest = json.loads(manifest_path.read_text())
-            except ValueError as exc:
-                raise ReproError(
-                    f"corrupt durable manifest {manifest_path}: {exc}; "
-                    f"run `repro verify-store {self.root}` to inspect "
-                    f"the store"
-                ) from None
-            if manifest.get("format") != _FORMAT:
-                raise ReproError(
-                    f"unsupported durable format {manifest.get('format')!r} "
-                    f"in {self.root}"
-                )
-            epoch = int(manifest.get("epoch", 0))
-            self._manifest_epoch = epoch
-            if epoch > 0 and manifest.get("schema"):
-                # the store evolved past the catalog it was created
-                # with: the manifest's schema + FDs are authoritative,
-                # and the inner service is rebuilt over them (the
-                # constructor's schema only names the original epoch)
-                schema = _schema_from_json(manifest["schema"])
-                fds = _fds_from_json(manifest.get("fds", []))
-                if schema != self.schema or fds != self.fds:
-                    self._inner = ShardedWeakInstanceService(
-                        schema, fds, stats=self.stats, **self._service_options
-                    )
-                    self.schema = self._inner.schema
-                    self.fds = self._inner.fds
-                    self.report = self._inner.report
-                self._inner.schema_version = epoch
-                path = self.root / SCHEMA_LOG_NAME
-                if path.exists():
-                    records, _good = _schema_log_records(self.io.read_bytes(path))
-                    if records:
-                        self._pending_evolution = records[-1]
-            names = sorted(self._inner.shard_names())
-            if sorted(manifest.get("schemes", [])) != names:
-                raise ReproError(
-                    f"durable directory {self.root} was written for schemes "
-                    f"{manifest.get('schemes')}, not {names}"
-                )
-        # a migrated-in scheme's directory may not exist yet (crash
-        # between manifest commit and finalize): attaching creates it
-        self._shards = {
-            name: _Shard(name, self._store)
-            for name in sorted(self._inner.shard_names())
-        }
-        if not existing:
-            self._write_manifest(self.schema, self.fds, 0)
+    def _read_manifest(self) -> Optional[Dict[str, object]]:
+        """The store's manifest, or ``None`` for a fresh directory."""
+        path = self.root / MANIFEST_NAME
+        if not path.exists():
+            return None
+        try:
+            manifest = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ReproError(
+                f"corrupt durable manifest {path}: {exc}; run "
+                f"`repro verify-store {self.root}` to inspect the store"
+            ) from None
+        if manifest.get("format") != _FORMAT:
+            raise ReproError(
+                f"unsupported durable format {manifest.get('format')!r} "
+                f"in {self.root}"
+            )
+        return manifest
 
     def _read_chain(self, name: str, store: ShardStore) -> ShardChain:
         """:func:`read_chain`, plus logging and counting a snapshot
@@ -1302,16 +1266,15 @@ class DurableShardedService(WindowQueryAPI):
         load — in one atomic load at open, or through ``reload_shard``
         (a fresh shard build that re-validates the rows and leaves the
         tableau to the bulk kernel's lazy re-chase)."""
-        self.stats.session_records += len(chain.sessions) - len(
-            self._sessions.get(name, ())
-        )
-        self._sessions[name] = chain.sessions
+        shard = self._inner._shard(name)
+        self.stats.session_records += len(chain.sessions) - len(shard.sessions)
+        shard.sessions = chain.sessions
         self.stats.wal_records_replayed += len(chain.scan.ops)
-        self._shards[name].wal.records_since_snapshot = len(chain.scan.ops)
+        shard.wal.records_since_snapshot = len(chain.scan.ops)
         # chain values are in canonical attribute order (Tuple.values),
         # NOT declared column order: key the rows by attribute so a
         # load cannot permute them
-        attr_names = self._inner._shard(name).scheme.attributes.names
+        attr_names = shard.scheme.attributes.names
         return [dict(zip(attr_names, values)) for values in chain.rows]
 
     def _roll_forward(
@@ -1348,7 +1311,7 @@ class DurableShardedService(WindowQueryAPI):
             if name in chains
             and (
                 chains[name].generation is None
-                or chains[name].epoch < self._manifest_epoch
+                or chains[name].epoch < self.schema_version
             )
         ]
         if not behind:
@@ -1363,7 +1326,7 @@ class DurableShardedService(WindowQueryAPI):
         _log.warning(
             "recovery roll-forward to epoch %d: shard(s) %s re-migrated "
             "from the retired sources (%s)",
-            self._manifest_epoch, ", ".join(behind), op.describe(),
+            self.schema_version, ", ".join(behind), op.describe(),
         )
         return {name: migrated.get(name, []) for name in behind}
 
@@ -1389,15 +1352,17 @@ class DurableShardedService(WindowQueryAPI):
         """
         chains = {
             name: self._read_chain(name, shard.store)
-            for name, shard in self._shards.items()
+            for name, shard in self._inner._shards.items()
         }
         rolled: Dict[str, List[Dict[str, object]]] = {}
-        if self._pending_evolution is not None and (
-            int(self._pending_evolution.get("epoch", 0)) == self._manifest_epoch
-        ):
-            rolled = self._roll_forward(self._pending_evolution, chains)
+        log = self.root / SCHEMA_LOG_NAME
+        if self.schema_version > 0 and log.exists():
+            # the newest schema.log record is the evolution to finish
+            records, _good = _schema_log_records(self.io.read_bytes(log))
+            if records and int(records[-1].get("epoch", 0)) == self.schema_version:
+                rolled = self._roll_forward(records[-1], chains)
         relations: Dict[str, List[Dict[str, object]]] = {}
-        for name, shard in self._shards.items():
+        for name, shard in self._inner._shards.items():
             # a crash before the snapshot rename leaves a tmp: discard it
             (shard.store.shard_dir(name) / _SNAPSHOT_TMP).unlink(missing_ok=True)
             if name in rolled:
@@ -1432,9 +1397,9 @@ class DurableShardedService(WindowQueryAPI):
         for name in sorted(rolled):
             self._snapshot_locked(name)
         shards_root = self._store.shards_root
-        if self._manifest_epoch > 0 and shards_root.is_dir():
+        if self.schema_version > 0 and shards_root.is_dir():
             for child in sorted(shards_root.iterdir()):
-                if child.is_dir() and child.name not in self._shards:
+                if child.is_dir() and child.name not in self._inner._shards:
                     shutil.rmtree(child, ignore_errors=True)
 
     # -- crash discipline and per-shard health -----------------------------------
@@ -1463,35 +1428,20 @@ class DurableShardedService(WindowQueryAPI):
         """One shard's health state (:data:`SHARD_SERVING` /
         :data:`SHARD_DEGRADED` / :data:`SHARD_QUARANTINED` /
         :data:`SHARD_REPAIRING`)."""
-        self._inner._shard(name)  # unknown-scheme error, same as reads
-        return self._shards[name].status
+        return self._inner._shard(name).status
 
     def health(self) -> Dict[str, object]:
-        """The per-shard status surface: overall status (``serving``
-        iff every shard serves and the service has not crashed) plus
-        each shard's state, last error, serving store, the schema
-        epoch, any in-flight migration, and replication lag."""
+        """The sharded service's health surface, with ``crashed`` as
+        the overall status once the service crashed, plus replication
+        lag."""
         report = self._inner.health()
-        shards = {name: shard.status for name, shard in self._shards.items()}
         if self._crashed:
             report["status"] = "crashed"
-        elif any(s != SHARD_SERVING for s in shards.values()):
-            report["status"] = "degraded"  # the inner view misses degrades
-        report["shards"] = shards
-        report["errors"] = {
-            name: shard.error for name, shard in self._shards.items() if shard.error
-        }
         report["replication"] = self.replication_status()
         return report
 
     def _set_status(self, name: str, status: str, reason: str = "") -> None:
-        shard = self._shards[name]
-        previous = shard.status
-        shard.status = status
-        if reason:
-            shard.error = reason
-        elif status == SHARD_SERVING:
-            shard.error = ""
+        previous = self._inner.set_status(name, status, reason)
         if status != previous:
             if status == SHARD_QUARANTINED:
                 self.stats.shards_quarantined += 1
@@ -1501,16 +1451,6 @@ class DurableShardedService(WindowQueryAPI):
                 SHARD_DEGRADED, SHARD_QUARANTINED, SHARD_REPAIRING
             ):
                 self.stats.shards_recovered += 1
-        # reads must route around quarantined/repairing shards (the
-        # planner's closure guard decides which plans survive); a
-        # degraded shard is read-only but still readable
-        self._inner.set_unavailable(
-            {
-                n: s.status
-                for n, s in self._shards.items()
-                if s.status in (SHARD_QUARANTINED, SHARD_REPAIRING)
-            }
-        )
 
     def _shard_fault(self, name: str, exc: OSError) -> ShardQuarantinedError:
         """Record a persistent I/O failure on one shard: ENOSPC
@@ -1528,20 +1468,16 @@ class DurableShardedService(WindowQueryAPI):
                      name, status, reason)
         return ShardQuarantinedError(name, status, reason)
 
-    def _check_writable(self, name: str) -> None:
-        """Gate one shard's write path on its health.  A degraded
-        (read-only) shard gets a recovery probe first — if the disk
-        took the backlog, the shard returns to serving and the write
-        proceeds."""
-        shard = self._shards.get(name)
-        if shard is None:
-            # unknown (or evolved-away) scheme: raise the canonical
-            # unknown-scheme error, same as the read path
-            self._inner._shard(name)
+    def _check_writable(self, name: str) -> _SchemeShard:
+        """Gate one shard's write path on its health and return its
+        record.  A degraded (read-only) shard gets a recovery probe
+        first — if the disk took the backlog, the shard returns to
+        serving and the write proceeds."""
+        shard = self._inner._shard(name)
         if shard.status == SHARD_SERVING:
-            return
+            return shard
         if shard.status == SHARD_DEGRADED and self.probe(name):
-            return
+            return shard
         raise ShardQuarantinedError(name, shard.status, shard.error)
 
     def probe(self, name: str) -> bool:
@@ -1549,7 +1485,7 @@ class DurableShardedService(WindowQueryAPI):
         restaged WAL backlog (with the usual retry budget).  Success
         returns the shard to serving; failure leaves it degraded (or
         quarantines it, if the error stopped being ENOSPC)."""
-        shard = self._shards[name]
+        shard = self._inner._shard(name)
         with shard.lock:
             if shard.status != SHARD_DEGRADED:
                 return shard.status == SHARD_SERVING
@@ -1566,16 +1502,16 @@ class DurableShardedService(WindowQueryAPI):
     def shard_lock(self, name: str) -> threading.RLock:
         """The lock serializing writes (and snapshot reads) of one
         shard — the front end's per-shard write discipline."""
-        return self._shards[name].lock
+        return self._inner.shard_lock(name)
 
-    def _stage(self, name: str, record: bytes) -> int:
+    def _stage(self, shard: _SchemeShard, record: bytes) -> int:
         """Buffer one encoded record for the next group commit;
         returns the commit ticket that will cover it.  Caller holds
         the shard lock, so per-shard WAL order is apply order."""
         with self._stage_lock:
-            wal = self._shards[name].wal
+            wal = shard.wal
             if not wal.pending:
-                self._dirty.append(name)
+                self._dirty.append(shard.name)
             wal.stage(record)
             self.stats.wal_records_appended += 1
             return self._staged_gen
@@ -1669,7 +1605,7 @@ class DurableShardedService(WindowQueryAPI):
                     # a name may have been retired by a concurrent
                     # evolution's finalize — its records are already
                     # superseded by the migrated epoch-stamped snapshot
-                    dirty = [name for name in self._dirty if name in self._shards]
+                    dirty = [n for n in self._dirty if n in self._inner._shards]
                     self._dirty = []
                     gen = self._staged_gen
                     if dirty:
@@ -1722,7 +1658,7 @@ class DurableShardedService(WindowQueryAPI):
         records = 0
         failure: Optional[ShardQuarantinedError] = None
         for name in names:
-            shard = self._shards.get(name)
+            shard = self._inner._shards.get(name)
             if shard is None:
                 continue
             try:
@@ -1765,9 +1701,9 @@ class DurableShardedService(WindowQueryAPI):
         writes tmp → fsync → rename → directory fsync → truncate.
         """
         self._ensure_open()
-        names = [name] if name is not None else sorted(self._shards)
+        names = [name] if name is not None else sorted(self._inner._shards)
         for shard_name in names:
-            with self._shards[shard_name].lock:
+            with self._inner.shard_lock(shard_name):
                 self._check_writable(shard_name)
                 # this shard's staged records must hit the WAL before
                 # the snapshot reflects them (the suffix-loss
@@ -1784,17 +1720,17 @@ class DurableShardedService(WindowQueryAPI):
                     raise
 
     def _snapshot_locked(self, name: str) -> None:
-        shard = self._shards[name]
-        relation = self._inner._shard(name)
-        rows = [list(t.values) for t in relation.relation()]
+        shard = self._inner._shard(name)
+        rows = [list(t.values) for t in shard.relation()]
         self._fault("snapshot.begin")
-        sessions = self._sessions.get(name)
         payload = _snapshot_payload(
             name,
-            relation.scheme.attributes.names,
+            shard.scheme.attributes.names,
             rows,
             self._inner.schema_version,
-            sessions=_sessions_to_snapshot(sessions) if sessions else None,
+            sessions=_sessions_to_snapshot(shard.sessions)
+            if shard.sessions
+            else None,
         )
         with self._io_lock:
             shard.store.write_snapshot(
@@ -1816,11 +1752,15 @@ class DurableShardedService(WindowQueryAPI):
         """Snapshot every shard (or just ``names``) whose WAL has
         outgrown ``snapshot_interval`` records since its last
         snapshot.  Non-serving shards are skipped — their snapshot
-        happens when a probe or ``repair`` heals them."""
-        for name in (self._shards if names is None else set(names)):
-            shard = self._shards[name]
+        happens when a probe or ``repair`` heals them — and so are
+        names an evolution retired (the new epoch's snapshot holds
+        their rows, exactly as :meth:`_commit_wals` skips them)."""
+        shards = self._inner._shards
+        for name in (shards if names is None else set(names)):
+            shard = shards.get(name)
             if (
-                shard.status == SHARD_SERVING
+                shard is not None
+                and shard.status == SHARD_SERVING
                 and shard.wal.records_since_snapshot >= self.snapshot_interval
             ):
                 self.snapshot(name)
@@ -1828,7 +1768,7 @@ class DurableShardedService(WindowQueryAPI):
     # -- mutations ---------------------------------------------------------------
 
     def _session_hit(
-        self, name: str, kind: str, session: PyTuple[str, int], t
+        self, shard: _SchemeShard, kind: str, session: PyTuple[str, int], t
     ):
         """Exactly-once gate, under the shard lock (``t`` is the
         submission's coerced tuple).  Returns the
@@ -1840,7 +1780,7 @@ class DurableShardedService(WindowQueryAPI):
         Raises :class:`~repro.exceptions.SessionSequenceError` when the
         sequence is behind the high-water mark."""
         sid, seq = str(session[0]), int(session[1])
-        entry = self._sessions.get(name, {}).get(sid)
+        entry = shard.sessions.get(sid)
         if entry is None or seq > entry["seq"]:
             return None
         recorded_kind = entry.get("kind")
@@ -1855,7 +1795,8 @@ class DurableShardedService(WindowQueryAPI):
             # and is durable, but the live outcome object died with the
             # old process — reconstruct the only answer it can have had
             result = True if kind == "-" else InsertOutcome(
-                accepted=True, scheme=name, tuple=t, method=self._inner.method
+                accepted=True, scheme=shard.name, tuple=t,
+                method=self._inner.method,
             )
         return result, entry.get("ticket")
 
@@ -1891,13 +1832,12 @@ class DurableShardedService(WindowQueryAPI):
         lock: coerce, the exactly-once gate, encode, apply, stage if
         it changed something, and record the session's outcome."""
         self._ensure_open()
-        self._check_writable(scheme_name)
-        checker = self._inner._shard(scheme_name).checker
-        with self._shards[scheme_name].lock:
-            t = checker.coerce_tuple(scheme_name, row)
+        shard = self._check_writable(scheme_name)
+        with shard.lock:
+            t = shard.checker.coerce_tuple(scheme_name, row)
             meta = None
             if session is not None:
-                hit = self._session_hit(scheme_name, kind, session, t)
+                hit = self._session_hit(shard, kind, session, t)
                 if hit is not None:
                     return hit
                 meta = {"sid": str(session[0]), "seq": int(session[1])}
@@ -1912,13 +1852,13 @@ class DurableShardedService(WindowQueryAPI):
                 effectful = result.accepted and not result.reason
             else:
                 result = effectful = self._inner.delete(scheme_name, t)
-            ticket = self._stage(scheme_name, record) if effectful else None
+            ticket = self._stage(shard, record) if effectful else None
             if session is not None:
                 # an operation that changed nothing (rejected or
                 # duplicate insert, absent delete) records no kind: it
                 # needs no durable stamp, re-executing it is harmless
                 sid = str(session[0])
-                table = self._sessions.setdefault(scheme_name, {})
+                table = shard.sessions
                 if sid not in table:
                     self.stats.session_records += 1
                 table[sid] = {
@@ -1978,20 +1918,22 @@ class DurableShardedService(WindowQueryAPI):
         # gate every touched shard before anything applies: a batch
         # containing a quarantined shard fails whole and clean, so the
         # front end can retry it minus the sick shard's operations
-        for name in sorted({name for name, _ in ops}):
-            self._check_writable(name)
+        shards = {
+            name: self._check_writable(name)
+            for name in sorted({name for name, _ in ops})
+        }
         with ExitStack() as stack:
-            for name in sorted({name for name, _ in ops}):
-                stack.enter_context(self._shards[name].lock)
+            for shard in shards.values():
+                stack.enter_context(shard.lock)
             coerced = [
-                (name, self._inner._shard(name).checker.coerce_tuple(name, row))
+                (name, shards[name].checker.coerce_tuple(name, row))
                 for name, row in ops
             ]
             records = [_encode_record("+", t.values) for _, t in coerced]
             outcomes = self._inner.insert_many(coerced)
             for (name, _), record, outcome in zip(coerced, records, outcomes):
                 if outcome.accepted and not outcome.reason:
-                    ticket = self._stage(name, record)
+                    ticket = self._stage(shards[name], record)
         return outcomes, ticket
 
     def insert_many(self, ops: Iterable[PyTuple[str, object]]) -> List[InsertOutcome]:
@@ -2006,11 +1948,12 @@ class DurableShardedService(WindowQueryAPI):
         cheaper and the load is already atomic on disk once every
         shard's snapshot is installed)."""
         self._ensure_open()
+        shards = self._inner._shards
         with ExitStack() as stack:
-            for name in sorted(self._shards):
-                stack.enter_context(self._shards[name].lock)
+            for name in sorted(shards):
+                stack.enter_context(shards[name].lock)
             self._inner.load(state)
-            for name in sorted(self._shards):
+            for name in sorted(shards):
                 self.commit()
                 try:
                     self._snapshot_locked(name)
@@ -2038,10 +1981,10 @@ class DurableShardedService(WindowQueryAPI):
         ``pre_commit`` seam — it fires after the re-check, rebuild, and
         journal replay all succeeded, so nothing reaches disk for a
         rejected evolution — and the finalize step afterwards:
-        epoch-stamped snapshots for every rebuilt shard, WAL/lock/
-        status bookkeeping for added and dropped schemes, retired
-        directories removed last.  A crash anywhere in between is
-        recovered by :meth:`_recover`'s roll-forward.
+        a store and WAL attached to every added scheme's shard,
+        epoch-stamped snapshots for every rebuilt shard, retired shards
+        closed and their directories removed last.  A crash anywhere in
+        between is recovered by :meth:`_recover`'s roll-forward.
 
         Raises :class:`~repro.exceptions.EvolutionRejectedError` (old
         epoch fully intact, still serving) on a refused evolution, and
@@ -2049,7 +1992,8 @@ class DurableShardedService(WindowQueryAPI):
         is not serving — migration needs every failure domain healthy.
         """
         self._ensure_open()
-        for name, shard in sorted(self._shards.items()):
+        before = dict(self._inner._shards)
+        for name, shard in sorted(before.items()):
             if shard.status != SHARD_SERVING:
                 raise ShardQuarantinedError(name, shard.status, shard.error)
         # flush the staged backlog first: the migration captures shard
@@ -2099,36 +2043,34 @@ class DurableShardedService(WindowQueryAPI):
             # recovers whichever epoch the manifest names)
             self._latch_crash()
             raise
-        self.schema = self._inner.schema
-        self.fds = self._inner.fds
-        self.report = self._inner.report
-        self._manifest_epoch = self._inner.schema_version
         try:
-            self._finalize_evolution(result)
+            self._finalize_evolution(result, before)
         except BaseException:
             self._latch_crash()
             raise
         return result
 
-    def _finalize_evolution(self, result: EvolutionResult) -> None:
-        """Post-commit disk reshaping, in crash-safe order: create new
-        shard directories and WALs, snapshot every rebuilt shard at the
-        new epoch (truncating its old-epoch WAL), and only then remove
-        retired directories — so recovery always still has the sources
-        it would need to re-derive an unsnapshotted migrated shard."""
-        old_names = set(self._shards)
-        new_names = set(self._inner.shard_names())
-        for name in sorted(new_names - old_names):
-            self._shards[name] = _Shard(name, self._store)
+    def _finalize_evolution(
+        self, result: EvolutionResult, before: Dict[str, _SchemeShard]
+    ) -> None:
+        """Post-commit disk reshaping, in crash-safe order: attach new
+        shards to the store, snapshot every rebuilt shard at the new
+        epoch (truncating its old-epoch WAL), and only then close and
+        remove the shards of ``before`` the evolution retired — so
+        recovery always still has the sources it would need to
+        re-derive an unsnapshotted migrated shard."""
+        shards = self._inner._shards
+        for name in sorted(set(shards) - set(before)):
+            _attach(shards[name], self._store)
         for name in result.rebuilt:
-            with self._shards[name].lock:
+            with shards[name].lock:
                 # flush any mid-migration staged records (old-epoch
                 # values; the epoch-stamped snapshot below supersedes
                 # them and truncates the WAL)
                 self.commit_shards([name])
                 self._snapshot_locked(name)
-        for name in sorted(old_names - new_names):
-            shard = self._shards.pop(name)
+        for name in sorted(set(before) - set(shards)):
+            shard = before[name]
             self._drop_staged(name, shard.wal)
             shard.wal.close()
             shutil.rmtree(shard.store.shard_dir(name), ignore_errors=True)
@@ -2161,8 +2103,7 @@ class DurableShardedService(WindowQueryAPI):
         and :class:`ReproError` if no snapshot generation is readable
         but corrupt ones exist."""
         self._ensure_open()
-        self._inner._shard(name)  # unknown-scheme error first
-        shard = self._shards[name]
+        shard = self._inner._shard(name)
         with shard.lock:
             previous = shard.status
             self._set_status(name, SHARD_REPAIRING, shard.error)
@@ -2230,8 +2171,7 @@ class DurableShardedService(WindowQueryAPI):
         Raises :class:`~repro.exceptions.NoPromotableReplicaError`
         (shard state untouched) when no replica has a readable chain."""
         self._ensure_open()
-        self._inner._shard(name)
-        shard = self._shards[name]
+        shard = self._inner._shard(name)
         with shard.lock:
             was_void = shard.void
             with shard.wal.io_lock:
@@ -2243,8 +2183,8 @@ class DurableShardedService(WindowQueryAPI):
                 self._drop_staged(name, shard.wal)
                 shard.wal.close()
                 demoted = shard.store
-                shard.attach(name, promoted.store)
-                self._demoted[name] = demoted
+                _attach(shard, promoted.store)
+                shard.demoted = demoted
             replayed = 0
             if was_void:
                 chain = self._read_chain(name, shard.store)
@@ -2260,7 +2200,6 @@ class DurableShardedService(WindowQueryAPI):
                 self._snapshot_locked(name)
             except OSError as exc:
                 raise self._shard_fault(name, exc) from exc
-            self._inner.set_primary(name, promoted.store.label)
             self.stats.failovers += 1
             report = {
                 "shard": name,
@@ -2289,9 +2228,9 @@ class DurableShardedService(WindowQueryAPI):
         catch-up — ship the missing WAL suffix when its chain is a
         prefix of the primary's, snapshot-copy past anything else."""
         self._ensure_open()
-        self._inner._shard(name)
+        shard = self._inner._shard(name)
         if store is None:
-            store = self._demoted.get(name)
+            store = shard.demoted
             if store is None:
                 raise ReplicationError(
                     f"shard {name!r}: no demoted store recorded; pass the "
@@ -2299,7 +2238,6 @@ class DurableShardedService(WindowQueryAPI):
                 )
         elif not isinstance(store, ShardStore):
             store = ShardStore(store)
-        shard = self._shards[name]
         with shard.lock:
             # the chain must be complete before it is copied
             self.commit_shards([name])
@@ -2307,7 +2245,7 @@ class DurableShardedService(WindowQueryAPI):
                 self._fault("rejoin.begin")
                 before = store.chain_summary(name)
                 self._manager.add_target(name, store)
-                self._demoted.pop(name, None)
+                shard.demoted = None
                 self.stats.rejoins += 1
                 self._fault("rejoin.done")
         _log.info("shard %s: store %s rejoined as replica", name, store.label)
@@ -2330,7 +2268,7 @@ class DurableShardedService(WindowQueryAPI):
                     "replicas": self._manager.lag(name),
                     "primary": self._inner.primary_of(name),
                 }
-                for name in sorted(self._shards)
+                for name in sorted(self._inner._shards)
             },
         }
 
@@ -2396,8 +2334,9 @@ class DurableShardedService(WindowQueryAPI):
                 self.commit()
             except ShardQuarantinedError:
                 pass  # healthy shards committed; the sick one cannot
-        for shard in self._shards.values():
-            shard.wal.close()
+        for shard in self._inner._shards.values():
+            if shard.wal is not None:  # None: a crash before finalize attached it
+                shard.wal.close()
         self._manager.flush()
         self._manager.stop()
 
@@ -2408,10 +2347,13 @@ class DurableShardedService(WindowQueryAPI):
         self.close()
 
     def __repr__(self) -> str:
+        staged = sum(
+            s.wal.pending_records for s in self._inner._shards.values() if s.wal
+        )
         return (
             f"DurableShardedService<root={str(self.root)!r}, "
             f"tuples={self.total_tuples()}, "
-            f"staged={sum(s.wal.pending_records for s in self._shards.values())}, "
+            f"staged={staged}, "
             f"crashed={self._crashed}>"
         )
 

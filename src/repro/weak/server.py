@@ -146,14 +146,7 @@ class WeakInstanceServer(WindowQueryAPI):
         self._inner: ShardedWeakInstanceService = (
             service.inner if self.durable else service
         )
-        names = sorted(self._inner.shard_names())
-        #: scheme -> worker index; the stable routing that serializes
-        #: each shard's writes through exactly one worker
-        self._route = {name: i % workers for i, name in enumerate(names)}
-        if self.durable:
-            self._locks = {name: service.shard_lock(name) for name in names}
-        else:
-            self._locks = {name: threading.RLock() for name in names}
+        self._bind_shards()
         self._plan_lock = threading.Lock()
         self._global_lock = threading.RLock()
         # unbounded: SimpleQueue (C-implemented, so the per-request
@@ -174,6 +167,17 @@ class WeakInstanceServer(WindowQueryAPI):
         self.write_batches = 0
         self.batched_writes = 0
         self.reads_served = 0
+
+    def _bind_shards(self) -> None:
+        """Route and lock by the service's current shard set (at start,
+        and after an evolution changed it)."""
+        names = sorted(self._inner.shard_names())
+        #: scheme -> worker index; the stable routing that serializes
+        #: each shard's writes through exactly one worker
+        self._route = {name: i % self.workers for i, name in enumerate(names)}
+        #: each shard's own lock (the same object for its whole life
+        #: under one name, so a rebuild never swaps it under a holder)
+        self._locks = {name: self._inner.shard_lock(name) for name in names}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -581,17 +585,7 @@ class WeakInstanceServer(WindowQueryAPI):
                     stack.enter_context(self._locks[name])
 
             result = self.service.evolve(op, during=quiesce)
-            names = sorted(self._inner.shard_names())
-            self._route = {name: i % self.workers for i, name in enumerate(names)}
-            if self.durable:
-                self._locks = {
-                    name: self.service.shard_lock(name) for name in names
-                }
-            else:
-                self._locks = {
-                    name: self._locks.get(name) or threading.RLock()
-                    for name in names
-                }
+            self._bind_shards()
         return result
 
     def repair(self, scheme_name: str) -> Dict[str, object]:

@@ -36,8 +36,12 @@ architecture:
   never validates, it only derives.  When a journal overflows (or the
   composer was never built), the resync is a from-scratch rebuild of
   the union state — which runs on the column-major bulk chase kernel
-  (:mod:`repro.chase.bulk`, ``bulk_loads=True`` by default), so even
-  the worst-case resync pays the set-at-a-time price.
+  (:mod:`repro.chase.bulk`), so even the worst-case resync pays the
+  set-at-a-time price.
+* **One record per shard.**  A :class:`_SchemeShard` also holds the
+  shard's lock, status and — on a durable service — store, WAL and
+  session table; every layer reads shard state from it, and a rebuild
+  under the same name (repair, failover, evolution) keeps the record.
 
 Non-independent schemas are rejected at construction with the
 analysis report (Lemma 3 / Theorem 4 counterexample) attached — use
@@ -54,6 +58,7 @@ windows never pay for other shards' traffic.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -181,8 +186,18 @@ class _EpochView:
     frozen: Dict[str, List[Tuple]]
 
 
+#: per-shard health states (the ``health()`` surface)
+SHARD_SERVING = "serving"
+SHARD_DEGRADED = "degraded"        # read-only: ENOSPC, probing for recovery
+SHARD_QUARANTINED = "quarantined"  # persistent I/O failure: reads+writes refused
+SHARD_REPAIRING = "repairing"      # repair() is rebuilding it from disk
+#: states whose shard must not answer reads (a degraded shard is
+#: read-only but still readable)
+_UNREADABLE = (SHARD_QUARANTINED, SHARD_REPAIRING)
+
+
 class _SchemeShard:
-    """One relation scheme's maintenance unit.
+    """One relation scheme's maintenance, failure and availability unit.
 
     Wraps the single-scheme restriction of the independence report: a
     local ``MaintenanceChecker`` (``_FDIndex`` per cover FD) plus a
@@ -191,7 +206,9 @@ class _SchemeShard:
     replays; beyond :data:`JOURNAL_LIMIT` pending entries the journal
     collapses into a "composer must rebuild" flag, so an endless
     update stream that never asks a global question holds O(1) memory
-    here.
+    here.  Beside that: the write lock, status and last error, and the
+    durable part (store, WAL, void flag, session table, demoted store;
+    ``None`` on an in-memory service).
     """
 
     #: journal entries kept before collapsing into a full-resync flag
@@ -207,6 +224,8 @@ class _SchemeShard:
         "version",
         "_journal",
         "_needs_resync",
+        "lock", "status", "error",
+        "store", "wal", "void", "sessions", "demoted",
     )
 
     def __init__(
@@ -214,10 +233,6 @@ class _SchemeShard:
         scheme: RelationScheme,
         restriction: IndependenceReport,
         stats: ShardedServiceStats,
-        scoped_deletes: bool,
-        delete_rebuild_fraction: float,
-        window_cache_limit: int,
-        bulk_loads: bool,
     ):
         self.scheme = scheme
         self.name = scheme.name
@@ -227,14 +242,7 @@ class _SchemeShard:
         )
         self.stats = stats
         self.live = LiveTableau(
-            restriction.schema,
-            self.cover,
-            lambda: self.checker.state(),
-            stats,
-            scoped_deletes=scoped_deletes,
-            delete_rebuild_fraction=delete_rebuild_fraction,
-            window_cache_limit=window_cache_limit,
-            bulk_loads=bulk_loads,
+            restriction.schema, self.cover, self.checker.state, stats
         )
         self.version = 0
         self._journal: List[PyTuple[str, Tuple]] = []
@@ -242,6 +250,31 @@ class _SchemeShard:
         # its first build would only retain tuples a drain discards —
         # _sync_composer re-arms journaling once the composer is live
         self._needs_resync = True
+        self.lock = threading.RLock()
+        self.status = SHARD_SERVING
+        #: the last failure reason ("" while none is recorded)
+        self.error = ""
+        self.store = None
+        self.wal = None
+        #: opened with no readable chain at all: the in-memory rows are
+        #: not authoritative, so a failover must rebuild from a replica
+        self.void = False
+        #: exactly-once session table, per shard: it fails over with the chain
+        self.sessions: Optional[Dict[str, dict]] = None
+        #: the store a failover demoted, for the default rejoin
+        self.demoted = None
+
+    def adopt(self, fresh: "_SchemeShard") -> None:
+        """Take over the maintenance state of a same-named shard rebuilt
+        off to the side; lock, status and the durable part stay, and the
+        version continues so stamped caches see the change."""
+        self.scheme = fresh.scheme
+        self.cover = fresh.cover
+        self.checker = fresh.checker
+        self.live = fresh.live
+        self.version += 1
+        self._needs_resync = True
+        self._journal.clear()
 
     # -- journal ---------------------------------------------------------------
 
@@ -274,7 +307,7 @@ class _SchemeShard:
         """Validate against the shard's ``Hi`` indexes and commit —
         the Theorem 3 O(1) maintenance check.  ``drive=False`` defers
         the shard fixpoint so a batch caller can run it once for many
-        appended rows (:meth:`drive_pending`)."""
+        appended rows (:meth:`ShardedWeakInstanceService.insert_many`)."""
         outcome = self.checker.insert(self.name, row)
         if not outcome.accepted:
             self.stats.inserts_rejected += 1
@@ -290,12 +323,6 @@ class _SchemeShard:
             if drive:
                 self.live.drive()
         return outcome
-
-    def drive_pending(self) -> None:
-        """Run the shard fixpoint over rows appended with
-        ``drive=False`` (no-op while the shard tableau is stale)."""
-        if self.live.live:
-            self.live.drive()
 
     def delete(self, row: RowLike) -> bool:
         t = self.checker.coerce_tuple(self.name, row)
@@ -332,16 +359,8 @@ class _SchemeShard:
 
     # -- reads -----------------------------------------------------------------
 
-    def window(
-        self, target: AttributeSet, count_hits: bool = True
-    ) -> RelationInstance:
-        return self.live.window(target, count_hits=count_hits)
-
     def relation(self) -> RelationInstance:
         return self.checker.state()[self.name]
-
-    def total_tuples(self) -> int:
-        return self.checker.total_tuples()
 
 
 class ShardedWeakInstanceService(WindowQueryAPI):
@@ -357,18 +376,15 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     hands the report down).
     """
 
-    DEFAULT_WINDOW_CACHE_LIMIT = LiveTableau.DEFAULT_WINDOW_CACHE_LIMIT
-    DEFAULT_DELETE_REBUILD_FRACTION = LiveTableau.DEFAULT_DELETE_REBUILD_FRACTION
+    #: bound on the memoized window plans and merged multi-shard
+    #: windows (FIFO / LRU respectively)
+    WINDOW_CACHE_LIMIT = LiveTableau.DEFAULT_WINDOW_CACHE_LIMIT
 
     def __init__(
         self,
         schema: DatabaseSchema,
         fds: Union[FDSet, Iterable[FD], str],
         report: Optional[IndependenceReport] = None,
-        scoped_deletes: bool = True,
-        delete_rebuild_fraction: float = DEFAULT_DELETE_REBUILD_FRACTION,
-        window_cache_limit: int = DEFAULT_WINDOW_CACHE_LIMIT,
-        bulk_loads: bool = True,
         stats: Optional[ShardedServiceStats] = None,
     ):
         self.schema = schema
@@ -392,28 +408,10 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         # a ShardedServiceStats subclass) while every shard and the
         # composer still share the one instance
         self.stats = ShardedServiceStats() if stats is None else stats
-        self._window_cache_limit = window_cache_limit
-        self._shards: Dict[str, _SchemeShard] = {}
-        for scheme in schema:
-            self._shards[scheme.name] = _SchemeShard(
-                scheme,
-                report.scheme_restriction(scheme.name),
-                self.stats,
-                scoped_deletes,
-                delete_rebuild_fraction,
-                window_cache_limit,
-                bulk_loads,
-            )
-        self._composer = LiveTableau(
-            schema,
-            self.fds,
-            self.state,
-            self.stats,
-            scoped_deletes=scoped_deletes,
-            delete_rebuild_fraction=delete_rebuild_fraction,
-            window_cache_limit=window_cache_limit,
-            bulk_loads=bulk_loads,
-        )
+        self._shards: Dict[str, _SchemeShard] = {
+            scheme.name: self._build_shard(scheme, report) for scheme in schema
+        }
+        self._composer = LiveTableau(schema, self.fds, self.state, self.stats)
         #: cl_F(Ri) per scheme — the planner's reachability bound
         self._closures: Dict[str, AttributeSet] = {
             s.name: self.fds.closure(s.attributes) for s in schema
@@ -424,16 +422,11 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         self._merged_cache: Dict[
             AttributeSet, PyTuple[PyTuple[int, ...], RelationInstance]
         ] = {}
-        # shards a durable wrapper has taken out of service (name →
-        # status string): reads that would consult one raise instead of
-        # serving possibly-stale rows.  Plans stay cached — they are
-        # pure functions of the schema; availability is checked per read.
-        self._unavailable: Dict[str, str] = {}
-        # which physical store serves each shard (label, default
-        # "primary"): pure bookkeeping for the replication layer's
-        # failover — routing itself never inspects it, because Theorem 3
-        # shards are location-transparent
-        self._primaries: Dict[str, str] = {}
+        # how many shards are quarantined or repairing: reads check
+        # shard status only while it is nonzero, so the all-serving
+        # read path stays O(1).  Kept by set_status under _status_lock.
+        self._out_of_service = 0
+        self._status_lock = threading.Lock()
         #: the schema epoch — bumped by every applied evolution; query
         #: caches key on it so old-epoch results never serve the new one
         self.schema_version = 0
@@ -464,54 +457,9 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         """Insert validation is always the Theorem 3 local check."""
         return "local"
 
-    # like the base service, the tuning knobs stay writable on a live
-    # service; writes forward to every seam that consults them (each
-    # shard's LiveTableau plus the composer), so assignment is never a
-    # silent no-op for callers migrating between the two services
-    @property
-    def scoped_deletes(self) -> bool:
-        return self._composer.scoped_deletes
-
-    @scoped_deletes.setter
-    def scoped_deletes(self, value: bool) -> None:
-        for shard in self._shards.values():
-            shard.live.scoped_deletes = value
-        self._composer.scoped_deletes = value
-
-    @property
-    def delete_rebuild_fraction(self) -> float:
-        return self._composer.delete_rebuild_fraction
-
-    @delete_rebuild_fraction.setter
-    def delete_rebuild_fraction(self, value: float) -> None:
-        for shard in self._shards.values():
-            shard.live.delete_rebuild_fraction = value
-        self._composer.delete_rebuild_fraction = value
-
-    @property
-    def bulk_loads(self) -> bool:
-        return self._composer.bulk_loads
-
-    @bulk_loads.setter
-    def bulk_loads(self, value: bool) -> None:
-        for shard in self._shards.values():
-            shard.live.bulk_loads = value
-        self._composer.bulk_loads = value
-
-    @property
-    def window_cache_limit(self) -> int:
-        return self._window_cache_limit
-
-    @window_cache_limit.setter
-    def window_cache_limit(self, value: int) -> None:
-        self._window_cache_limit = value
-        for shard in self._shards.values():
-            shard.live.window_cache_limit = value
-        self._composer.window_cache_limit = value
-
     def maintenance_cover(self, scheme_name: str) -> FDSet:
         """The embedded cover ``Hi`` the scheme's shard enforces."""
-        return self._shards[scheme_name].cover
+        return self._shard(scheme_name).cover
 
     def _shard(self, scheme_name: str) -> _SchemeShard:
         shard = self._shards.get(scheme_name)
@@ -521,71 +469,85 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             raise SchemaError(f"no shard for scheme {scheme_name!r}")
         return shard
 
+    def _build_shard(
+        self,
+        scheme: RelationScheme,
+        report: IndependenceReport,
+        rows: Iterable[RowLike] = (),
+    ) -> _SchemeShard:
+        """Build one shard — at construction, for a repair or failover
+        reload, and for an evolution's new epoch — with ``rows``
+        validated through its fresh checker (raises
+        :class:`InconsistentStateError` when they violate the cover)."""
+        shard = _SchemeShard(
+            scheme, report.scheme_restriction(scheme.name), self.stats
+        )
+        rows = list(rows)
+        if rows:
+            shard.checker.load(
+                DatabaseState(shard.checker.schema, {scheme.name: rows})
+            )
+        return shard
+
+    def shard_lock(self, scheme_name: str) -> threading.RLock:
+        """The lock serializing writes (and snapshot reads) of one
+        shard — the front end's per-shard write discipline.  The same
+        object for the shard's whole life under its name."""
+        return self._shard(scheme_name).lock
+
     # -- availability ------------------------------------------------------------
 
-    def set_unavailable(self, statuses: Dict[str, str]) -> None:
-        """Mark shards out of service for reads (name → status string,
-        e.g. ``"quarantined"``).  The durable layer pushes its
-        quarantine set here so the planner can route around sick
-        shards: local window plans whose direct set avoids every
-        unavailable shard keep serving, everything that would consult
-        one (directly or through the global composer, whose answers
-        join facts across *all* shards) raises
-        :class:`ShardQuarantinedError` instead of returning silently
-        stale rows.  Pass ``{}`` to restore full availability."""
-        for name in statuses:
-            self._shard(name)  # unknown-scheme check
-        self._unavailable = dict(statuses)
-
-    def unavailable_shards(self) -> Dict[str, str]:
-        """The current out-of-service map (copy)."""
-        return dict(self._unavailable)
-
-    def set_primary(self, scheme_name: str, label: str) -> None:
-        """Record which physical store now serves a shard — the
-        replication layer's failover calls this after promoting a
-        replica, so ``health()`` (and operators) can see the shard
-        moved.  Unknown schemes raise, like every routing surface."""
-        self._shard(scheme_name)
-        self._primaries[scheme_name] = label
+    def set_status(self, scheme_name: str, status: str, error: str = "") -> str:
+        """Move one shard to ``status`` (recording ``error``; serving
+        clears it) and return the previous status.  Reads that would
+        consult a quarantined or repairing shard — directly, or through
+        the composer, which joins facts across *all* shards — raise
+        :class:`ShardQuarantinedError` instead of serving stale rows."""
+        shard = self._shard(scheme_name)
+        with self._status_lock:
+            previous = shard.status
+            shard.status = status
+            if error:
+                shard.error = error
+            elif status == SHARD_SERVING:
+                shard.error = ""
+            self._out_of_service += (status in _UNREADABLE) - (previous in _UNREADABLE)
+        return previous
 
     def primary_of(self, scheme_name: str) -> str:
         """The label of the store serving a shard (``"primary"`` until
-        a failover re-points it)."""
-        self._shard(scheme_name)
-        return self._primaries.get(scheme_name, "primary")
+        a failover re-points it, and on an in-memory service)."""
+        store = self._shard(scheme_name).store
+        return "primary" if store is None else store.label
 
     def health(self) -> Dict[str, object]:
-        """The in-memory sharded health surface: per-shard status (as
-        pushed by :meth:`set_unavailable`), the schema epoch, and any
-        in-flight migration."""
-        shards = {
-            name: self._unavailable.get(name, "serving")
-            for name in self._shards
-        }
+        """Per-shard status and last error, the store serving each
+        shard, the schema epoch, and any in-flight migration."""
+        shards = {name: shard.status for name, shard in self._shards.items()}
         status = (
             "serving"
-            if all(s == "serving" for s in shards.values())
+            if all(s == SHARD_SERVING for s in shards.values())
             else "degraded"
         )
         return {
             "status": status,
             "shards": shards,
-            "errors": {},
-            "primaries": {
-                name: self._primaries.get(name, "primary")
-                for name in self._shards
+            "errors": {
+                name: shard.error
+                for name, shard in self._shards.items()
+                if shard.error
             },
+            "primaries": {name: self.primary_of(name) for name in self._shards},
             "epoch": self.schema_version,
             "migration": self.migration_status(),
         }
 
     def _check_available(self, names: Iterable[str]) -> None:
-        if not self._unavailable:
+        if not self._out_of_service:
             return
         for name in names:
-            status = self._unavailable.get(name)
-            if status is not None:
+            status = self._shards[name].status
+            if status in _UNREADABLE:
                 raise ShardQuarantinedError(name, status)
 
     # -- loading ---------------------------------------------------------------
@@ -623,68 +585,17 @@ class ShardedWeakInstanceService(WindowQueryAPI):
 
     def reload_shard(self, scheme_name: str, rows: Iterable[RowLike]) -> None:
         """Replace one shard's state wholesale with ``rows`` — the
-        durable layer's repair path.  A *fresh* shard is built (fresh
-        ``_FDIndex`` maintenance checker, fresh per-scheme tableau) and
-        the rows re-validated through its checker, so whatever
-        in-memory state the old shard accumulated before it was
-        quarantined cannot leak into the repaired one.  The version
-        counter continues from the old shard's so stamped query plans
-        and merged-window caches see the change."""
-        old = self._shard(scheme_name)
-        fresh = _SchemeShard(
-            old.scheme,
-            self.report.scheme_restriction(scheme_name),
-            self.stats,
-            self.scoped_deletes,
-            self.delete_rebuild_fraction,
-            self.window_cache_limit,
-            self.bulk_loads,
-        )
-        fresh.checker.load(
-            DatabaseState(fresh.checker.schema, {scheme_name: list(rows)})
-        )
-        fresh.version = old.version + 1
-        self._shards[scheme_name] = fresh
+        durable layer's repair and failover path.  A fresh checker and
+        tableau are built (the rows re-validated through the fresh
+        checker), so whatever in-memory state the old shard accumulated
+        before it was quarantined cannot leak into the repaired one;
+        the shard record itself — lock, status, store — stays."""
+        shard = self._shard(scheme_name)
+        shard.adopt(self._build_shard(shard.scheme, self.report, rows))
         self._composer.invalidate()
         self._merged_cache.clear()
 
     # -- schema evolution --------------------------------------------------------
-
-    def _build_fresh_shard(
-        self,
-        scheme: RelationScheme,
-        report: IndependenceReport,
-        rows: Iterable[RowLike],
-        op: EvolutionOp,
-    ) -> _SchemeShard:
-        """A fresh shard of the *new* epoch, its rows validated through
-        a fresh checker — re-validation is what turns an ``add-fd`` into
-        a decidable request: the data either satisfies the grown cover
-        or refutes the evolution."""
-        shard = _SchemeShard(
-            scheme,
-            report.scheme_restriction(scheme.name),
-            self.stats,
-            self.scoped_deletes,
-            self.delete_rebuild_fraction,
-            self.window_cache_limit,
-            self.bulk_loads,
-        )
-        rows = list(rows)
-        try:
-            if rows:
-                shard.checker.load(
-                    DatabaseState(shard.checker.schema, {scheme.name: rows})
-                )
-        except InconsistentStateError as exc:
-            self.stats.evolutions_rejected += 1
-            raise EvolutionRejectedError(
-                f"evolution rejected ({op.describe()}): stored rows of "
-                f"{scheme.name!r} violate the evolved constraints ({exc}); "
-                "old epoch left intact",
-                reason=scheme.name,
-            ) from exc
-        return shard
 
     def _capture_rows(self, scheme_name: str) -> List[Dict[str, object]]:
         attrs = self._shards[scheme_name].scheme.attributes.names
@@ -793,122 +704,132 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             migrated = op.migrate_relations(self.schema, capture)
 
             fresh: Dict[str, _SchemeShard] = {}
+
+            def build(name: str, rows: Iterable[RowLike]) -> None:
+                # re-validation through a fresh checker is what turns an
+                # add-fd into a decidable request: the data either
+                # satisfies the grown cover or refutes the evolution
+                self._migrating[name] = "rebuilding"
+                try:
+                    fresh[name] = self._build_shard(
+                        new_schema[name], new_report, rows
+                    )
+                except InconsistentStateError as exc:
+                    self.stats.evolutions_rejected += 1
+                    raise EvolutionRejectedError(
+                        f"evolution rejected ({op.describe()}): stored rows "
+                        f"of {name!r} violate the evolved constraints "
+                        f"({exc}); old epoch left intact",
+                        reason=name,
+                    ) from exc
+                self._migrating[name] = "built"
+
             for name in rebuild:
                 self._migrating[name] = "rebuilding"
                 fire("evolve.mid-rebuild")
-                rows: Iterable[RowLike]
-                if name in migrated:
-                    rows = migrated[name]
-                else:
-                    # cover-only change: same scheme, rows re-validated
-                    rows = list(self._shards[name].relation().tuples)
-                fresh[name] = self._build_fresh_shard(
-                    new_schema[name], new_report, rows, op
+                # a cover-only change keeps the scheme: its rows are
+                # re-validated as they stand
+                build(
+                    name,
+                    migrated[name]
+                    if name in migrated
+                    else list(self._shards[name].relation().tuples),
                 )
-                self._migrating[name] = "built"
 
             if during is not None:
                 during(self)
 
             fire("evolve.journal-replay")
-            replays = 0
-            if any(o == "-" for src in sources for o, _ in tap[src]):
-                # a transformed source lost a row mid-migration:
-                # projections/joins have no per-row support counts, so
-                # re-capture the transform wholesale (rare path)
-                capture = {src: self._capture_rows(src) for src in sources}
-                migrated = op.migrate_relations(self.schema, capture)
-                for name, rows in migrated.items():
-                    self._migrating[name] = "rebuilding"
-                    fresh[name] = self._build_fresh_shard(
-                        new_schema[name], new_report, rows, op
+
+            def replay(name: str, src: str, row: RowLike) -> None:
+                # a mid-migration write re-validated under the new cover
+                self._migrating[name] = "replaying"
+                outcome = fresh[name].insert(row)
+                if not outcome.accepted:
+                    self.stats.evolutions_rejected += 1
+                    raise EvolutionRejectedError(
+                        f"evolution rejected ({op.describe()}): "
+                        f"mid-migration write on {src!r} violates the "
+                        f"evolved constraints of {name!r} "
+                        f"({outcome.reason}); old epoch left intact",
+                        reason=name,
                     )
-                    self._migrating[name] = "built"
+
+            replays = 0
+            tapped = [o for src in sources for o, _ in tap[src]]
+            if "-" in tapped or (len(sources) > 1 and tapped):
+                # re-capture the transform wholesale: projections have
+                # no per-row support counts, so a mid-migration delete
+                # on a source cannot be replayed row by row, and a join
+                # (merge) of one tapped row against the other members'
+                # *empty* relations would drop the row
+                capture = {src: self._capture_rows(src) for src in sources}
+                for name, rows in op.migrate_relations(
+                    self.schema, capture
+                ).items():
+                    build(name, rows)
             else:
                 for src in sources:
                     src_attrs = self.schema[src].attributes.names
-                    for o, t in tap[src]:
+                    for _o, t in tap[src]:
                         row = {a: t.value(a) for a in src_attrs}
                         for name, rows in op.migrate_relations(
                             self.schema, {src: [row]}
                         ).items():
-                            target_shard = fresh.get(name)
-                            if target_shard is None:
+                            if name not in fresh:
                                 continue
-                            self._migrating[name] = "replaying"
                             for r in rows:
                                 replays += 1
-                                outcome = target_shard.insert(r)
-                                if not outcome.accepted:
-                                    self.stats.evolutions_rejected += 1
-                                    raise EvolutionRejectedError(
-                                        f"evolution rejected "
-                                        f"({op.describe()}): mid-migration "
-                                        f"write on {src!r} violates the "
-                                        f"evolved constraints of {name!r} "
-                                        f"({outcome.reason}); old epoch "
-                                        "left intact",
-                                        reason=name,
-                                    )
-            for name in set(rebuild) & old_names:
-                if name in sources:
-                    continue
+                                replay(name, src, r)
+            for name in (set(rebuild) & old_names) - set(sources):
                 # same-scheme rebuild: the journal replays verbatim
-                target_shard = fresh[name]
                 for o, t in tap[name]:
                     replays += 1
-                    self._migrating[name] = "replaying"
                     if o == "+":
-                        outcome = target_shard.insert(t)
-                        if not outcome.accepted:
-                            self.stats.evolutions_rejected += 1
-                            raise EvolutionRejectedError(
-                                f"evolution rejected ({op.describe()}): "
-                                f"mid-migration write on {name!r} violates "
-                                f"the evolved constraints "
-                                f"({outcome.reason}); old epoch left intact",
-                                reason=name,
-                            )
+                        replay(name, name, t)
                     else:
-                        target_shard.delete(t)
+                        self._migrating[name] = "replaying"
+                        fresh[name].delete(t)
 
             if pre_commit is not None:
                 pre_commit(new_schema, new_fds, new_report)
 
             # -- the swap: from here on the new epoch is authoritative
             old_schema, old_fds = self.schema, self.fds
-            old_shards = self._shards
-            scoped = self.scoped_deletes
-            fraction = self.delete_rebuild_fraction
-            bulk = self.bulk_loads
-            new_shards: Dict[str, _SchemeShard] = {}
-            for scheme in new_schema:
-                name = scheme.name
-                if name in fresh:
-                    shard = fresh[name]
-                    base = old_shards.get(name)
-                    shard.version = base.version + 1 if base is not None else 1
-                    new_shards[name] = shard
-                else:
-                    new_shards[name] = old_shards[name]
-            frozen: Dict[str, List[Tuple]] = {}
-            for name, shard in old_shards.items():
-                survivor = new_shards.get(name)
-                if (
-                    survivor is not None
-                    and survivor.scheme.attributes == shard.scheme.attributes
-                ):
-                    # same name and attributes: the live shard keeps
-                    # serving this relation through the old version too
-                    continue
-                frozen[name] = list(shard.relation().tuples)
+            # freeze before the swap rewrites same-named records: a
+            # relation whose name or attributes changed is read through
+            # the old version from these rows; one that survives as it
+            # was keeps serving the old version from the live shard
+            frozen: Dict[str, List[Tuple]] = {
+                name: list(shard.relation().tuples)
+                for name, shard in self._shards.items()
+                if name not in new_schema
+                or new_schema[name].attributes != shard.scheme.attributes
+            }
             self._epochs[self.schema_version] = _EpochView(
                 old_schema, old_fds, frozen
             )
             while len(self._epochs) > self.epoch_retention:
                 self._epochs.pop(next(iter(self._epochs)))
 
-            self._shards = new_shards
+            new_shards: Dict[str, _SchemeShard] = {}
+            for name in new_schema.names:
+                shard = self._shards.get(name)
+                if shard is None:
+                    shard = fresh[name]
+                    shard.version = 1
+                elif name in fresh:
+                    # a same-named rebuild keeps the record (lock,
+                    # status, store): only its maintenance state swaps
+                    shard.adopt(fresh[name])
+                shard._needs_resync = True
+                shard._journal.clear()
+                new_shards[name] = shard
+            with self._status_lock:
+                self._shards = new_shards
+                self._out_of_service = sum(
+                    shard.status in _UNREADABLE for shard in new_shards.values()
+                )
             self.schema = new_schema
             self.fds = new_fds
             self.report = new_report
@@ -919,18 +840,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             self._plans.clear()
             self._merged_cache.clear()
             self._composer = LiveTableau(
-                new_schema,
-                new_fds,
-                self.state,
-                self.stats,
-                scoped_deletes=scoped,
-                delete_rebuild_fraction=fraction,
-                window_cache_limit=self.window_cache_limit,
-                bulk_loads=bulk,
+                new_schema, new_fds, self.state, self.stats
             )
-            for shard in new_shards.values():
-                shard._needs_resync = True
-                shard._journal.clear()
             self.stats.evolutions_applied += 1
             self.stats.migration_shards_rebuilt += len(fresh)
             self.stats.migration_shards_kept += len(kept)
@@ -1051,7 +962,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                 self._tap_op(scheme_name, "+", outcome.tuple)
                 touched[scheme_name] = shard
         for shard in touched.values():
-            shard.drive_pending()
+            if shard.live.live:  # a stale tableau rebuilds when read
+                shard.live.drive()
         return outcomes
 
     # -- the window planner ----------------------------------------------------
@@ -1081,7 +993,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             local = False
         plan = WindowPlan(local=local, direct=direct)
         self._plans[target] = plan
-        if len(self._plans) > self.window_cache_limit:
+        if len(self._plans) > self.WINDOW_CACHE_LIMIT:
             # FIFO bound (no LRU refresh on hit): plans are pure
             # functions of the schema and cheap to recompute, so
             # evicting a hot one costs one closure-subset pass.  The
@@ -1165,7 +1077,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     f"outside version {version}'s universe "
                     f"{view.schema.universe}"
                 )
-            self._check_available(self._unavailable)
+            self._check_available(self._shards)
             self.stats.window_queries += 1
             from repro.weak.representative import window as one_shot_window
 
@@ -1176,7 +1088,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         if not plan.local:
             # a composed answer joins facts through every shard, so any
             # unavailable shard poisons it
-            self._check_available(self._unavailable)
+            self._check_available(self._shards)
             self.stats.global_windows += 1
             self._sync_composer()
             return self._composer.window(target)
@@ -1186,7 +1098,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         self._check_available(plan.direct)
         self.stats.shard_windows += 1
         if len(plan.direct) == 1:
-            return self._shards[plan.direct[0]].window(target)
+            return self._shards[plan.direct[0]].live.window(target)
         versions = tuple(self._shards[n].version for n in plan.direct)
         cached = self._merged_cache.get(target)
         if cached is not None and cached[0] == versions:
@@ -1200,11 +1112,11 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         for name in plan.direct:
             # internal consultation, not a served query: shard-cache
             # hits here must not count (one query would score several)
-            for t in self._shards[name].window(target, count_hits=False):
+            for t in self._shards[name].live.window(target, count_hits=False):
                 seen.setdefault(tuple(t.value(a) for a in target), t)
         merged = RelationInstance(target, list(seen.values()))
         self._merged_cache[target] = (versions, merged)
-        if len(self._merged_cache) > self.window_cache_limit:
+        if len(self._merged_cache) > self.WINDOW_CACHE_LIMIT:
             self._merged_cache.pop(next(iter(self._merged_cache)))
             self.stats.window_cache_evictions += 1
         return merged
@@ -1215,7 +1127,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         :class:`ShardQuarantinedError` while any shard is out of
         service — the global tableau is only meaningful over all of
         them."""
-        self._check_available(self._unavailable)
+        self._check_available(self._shards)
         self._sync_composer()
         return self._composer.ensure()
 
@@ -1243,7 +1155,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     f"outside the universe {self.schema.universe}"
                 )
         # composer answers depend on every shard
-        self._check_available(self._unavailable)
+        self._check_available(self._shards)
         return ("composer", tuple(self._shards))
 
     def _query_stamps(self, names: Sequence[str]) -> PyTuple[int, ...]:
@@ -1279,7 +1191,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         by construction)."""
         if version is not None and version != self.schema_version:
             view = self._epoch_view(version)
-            self._check_available(self._unavailable)
+            self._check_available(self._shards)
             from repro.query.naive import evaluate_naive
 
             return evaluate_naive(query, self._epoch_state(version), view.fds)
@@ -1298,7 +1210,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         )
 
     def total_tuples(self) -> int:
-        return sum(shard.total_tuples() for shard in self._shards.values())
+        return sum(s.checker.total_tuples() for s in self._shards.values())
 
     @property
     def live(self) -> bool:

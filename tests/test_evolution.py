@@ -167,6 +167,62 @@ class TestOpCatalog:
         ) == [("c1", "r1"), ("c2", "r2")]
 
 
+def nested_loop_merge(members, relations):
+    """The reference merge: a nested-loop natural join, member by
+    member, deduplicated — the semantics the hash join must keep,
+    output order included."""
+    joined = [{}]
+    for name in members:
+        rows = relations.get(name, [])
+        shared = set(rows[0]) & set(joined[0]) if rows and joined else set()
+        joined = [
+            {**acc, **row}
+            for acc in joined
+            for row in rows
+            if all(acc[a] == row[a] for a in shared)
+        ]
+    seen = {}
+    for row in joined:
+        seen.setdefault(tuple(sorted(row.items())), row)
+    return list(seen.values())
+
+
+class TestMergeJoin:
+    @pytest.mark.parametrize(
+        "members",
+        [
+            {"A": "X Y", "B": "Z W"},
+            {"A": "K X", "B": "K Y"},
+            {"A": "K L X", "B": "K L Y"},
+            {"A": "K X", "B": "K L", "C": "L Y"},
+        ],
+        ids=["0-shared", "1-shared", "2-shared", "3-members"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hash_join_equals_nested_loop(self, members, seed):
+        import random
+
+        rng = random.Random(seed)
+        relations = {
+            name: [
+                {a: rng.randrange(4) for a in attrs.split()}
+                for _ in range(rng.randrange(12))
+            ]
+            for name, attrs in members.items()
+        }
+        op = MergeSchemes(tuple(members), "M")
+        got = op.migrate_relations(None, relations)["M"]
+        assert got == nested_loop_merge(tuple(members), relations)
+
+    def test_empty_member_empties_the_merge(self):
+        relations = {"A": [{"K": 1, "X": 2}], "B": []}
+        op = MergeSchemes(("A", "B"), "M")
+        assert op.migrate_relations(None, relations) == {"M": []}
+        assert op.migrate_relations(None, {"A": [], "B": [{"K": 1}]}) == {
+            "M": []
+        }
+
+
 class TestIncrementalRecheck:
     @pytest.mark.parametrize("text", OP_TEXTS, ids=lambda t: t.split()[0])
     def test_delta_agrees_with_full_analysis(self, text):
@@ -340,6 +396,51 @@ class TestOnlineMigration:
         svc.evolve(op, during=during)
         assert rows(svc.window("C,H")) == [("c2", "h2"), ("c3", "h3")]
         assert rows(svc.window("C,R")) == [("c2", "r2"), ("c3", "r3")]
+
+    @pytest.mark.parametrize(
+        "writes",
+        [
+            (("CT", ("c3", "t3")), ("CS", ("c3", "s3"))),
+            (("CS", ("c3", "s3")), ("CT", ("c3", "t3"))),
+            (("CS", ("c1", "s9")),),
+        ],
+        ids=["CT-then-CS", "CS-then-CT", "one-member"],
+    )
+    def test_mid_migration_merge_inserts_join_across_members(self, writes):
+        """A row written to one merge member mid-migration joins with
+        the *other* members' rows — replaying it alone against empty
+        members would drop it, so the migration re-captures the join
+        and lands on what a rebuild of the final state gives."""
+        svc = base_service()
+        expected = base_service()
+        for name, row in writes:
+            assert expected.insert(name, row).accepted
+        op = parse_evolution_op("merge CT + CS -> CTS")
+        oracle = fresh_rebuild(expected, op)
+
+        def during(service):
+            for name, row in writes:
+                assert service.insert(name, row).accepted
+
+        svc.evolve(op, during=during)
+        assert_matches_oracle(svc, oracle)
+        merged = rows(svc.window("C,S,T"))
+        if len(writes) == 2:
+            assert ("c3", "s3", "t3") in merged
+        else:
+            assert ("c1", "s9", "t1") in merged
+
+    def test_same_name_rebuild_keeps_the_shard_record(self):
+        """A cover-changing evolution rebuilds CT's checker and tableau
+        but keeps its record: the lock a front end holds across the
+        swap is the lock the new epoch uses."""
+        svc = base_service()
+        lock = svc.shard_lock("CT")
+        result = svc.evolve(parse_evolution_op("drop-fd C -> T"))
+        assert "CT" in result.rebuilt
+        assert svc.shard_lock("CT") is lock
+        with pytest.raises(SchemaError):
+            svc.shard_lock("NOPE")
 
     def test_rejected_evolution_leaves_old_epoch_serving(self):
         svc = base_service()

@@ -13,7 +13,7 @@ one, pinning which side of the commit point each crash site sits on.
 
 import pytest
 
-from repro.exceptions import EvolutionRejectedError
+from repro.exceptions import EvolutionRejectedError, SchemaError
 from repro.data.states import DatabaseState
 from repro.schema.evolution import parse_evolution_op
 from repro.weak.durable import (
@@ -158,6 +158,55 @@ def test_mid_migration_writes_survive_restart(tmp_path):
         assert ("c3", "t3") in sets["CT"]
     finally:
         back.close()
+
+
+def _sets(service):
+    return {
+        scheme.name: frozenset(tuple(t.values) for t in relation)
+        for scheme, relation in service.state()
+    }
+
+
+def test_mid_migration_merge_writes_survive_restart(tmp_path):
+    """Both halves of a merged row written mid-migration are acked
+    durable; the live merge and the reopened store must both hold the
+    joined row, and agree."""
+
+    def during(service):
+        assert service.insert("CT", ("c3", "t3")).accepted
+        assert service.insert("CS", ("c3", "s3")).accepted
+
+    with DurableShardedService(SCHEMA, FDS, tmp_path / "d") as svc:
+        svc.load(BASE)
+        svc.evolve(parse_evolution_op("merge CT + CS -> CTS"), during=during)
+        live = _sets(svc)
+    assert ("c3", "s3", "t3") in live["CTS"]
+    back = reopen(SCHEMA, FDS, tmp_path / "d")
+    try:
+        assert back.schema_version == 1
+        assert _sets(back) == live
+    finally:
+        back.close()
+
+
+def test_retired_and_unknown_names_never_raise_key_error(tmp_path):
+    """A write to a scheme an evolution then retires is committed by
+    the evolution itself; the front end's follow-up per-shard commit
+    and snapshot check must skip the retired name, and every lookup of
+    an unknown or retired shard raises the schema's own error."""
+    with DurableShardedService(SCHEMA, FDS, tmp_path / "d") as svc:
+        svc.load(BASE)
+        _outcome, ticket = svc.apply_insert("CHR", ("c3", "h3", "r3"))
+        svc.evolve(parse_evolution_op(SPLIT))
+        assert svc.wait_durable(ticket, timeout=5)
+        assert ("c3", "h3") in _sets(svc)["CH"]
+        svc.commit_shards(["CHR"])
+        svc.maybe_snapshot(["CHR"])
+        for name in ("CHR", "NOPE"):
+            with pytest.raises(SchemaError):
+                svc.snapshot(name)
+            with pytest.raises(SchemaError):
+                svc.shard_lock(name)
 
 
 def test_rejected_evolution_leaves_the_store_at_the_old_epoch(tmp_path):

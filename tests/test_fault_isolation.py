@@ -136,6 +136,33 @@ class TestRetryAndQuarantine:
                 assert window_rows(svc, name) == sorted([srow(i, 0), srow(i, 1)])
                 assert svc.health()["shards"][name] == SHARD_SERVING
 
+    def test_health_agrees_with_inner_through_quarantine_and_repair(
+        self, tmp_path
+    ):
+        """Shard status lives on the shard record, so the durable
+        service's health and the inner sharded service's report the
+        same status and error for every shard at every step."""
+        io = FaultyIO()
+        with open_service(tmp_path / "d", io) as svc:
+
+            def assert_agree(r1_status):
+                outer, inner = svc.health(), svc.inner.health()
+                assert outer["shards"] == inner["shards"]
+                assert outer["errors"] == inner["errors"]
+                assert outer["status"] == inner["status"]
+                assert outer["shards"]["R1"] == r1_status
+
+            for i, name in enumerate(NAMES, start=1):
+                assert svc.insert(name, row(i, 0)).accepted
+            assert_agree(SHARD_SERVING)
+            io.fail("wal.fsync", errno.EIO, match="R1", times=None)
+            with pytest.raises(ShardQuarantinedError):
+                svc.insert("R1", row(1, 1))
+            assert_agree(SHARD_QUARANTINED)
+            io.clear()
+            svc.repair("R1")
+            assert_agree(SHARD_SERVING)
+
     def test_eio_quarantine_blocks_composer_paths_too(self, tmp_path):
         """A composed answer joins facts through every shard, so it
         must raise rather than silently exclude the sick one."""

@@ -37,6 +37,7 @@ from repro.weak.replication import (
     ReplicaStore,
     ReplicatedShardedService,
 )
+from repro.schema.evolution import parse_evolution_op
 from repro.weak.server import WeakInstanceServer
 from repro.workloads.schemas import chain_schema, disjoint_star_schema
 
@@ -268,6 +269,36 @@ class TestAntiEntropy:
             "diverge" in f or "corruption" in f
             for f in report["replicas"][str(replica)]["shards"]["R1"]["findings"]
         )
+
+
+class TestShardIdentity:
+    @pytest.mark.parametrize("rebuild", ["evolve", "repair", "failover"])
+    def test_shard_record_survives_same_name_rebuild(
+        self, tmp_path, chain2, rebuild
+    ):
+        """Rebuilding R1 under its own name — an add-fd that changes
+        its cover, a repair, a live failover — swaps its checker and
+        tableau but keeps its record: the same lock (the one a front
+        end holds across the swap), the same serving status, and the
+        acknowledged rows."""
+        schema, fds = chain2
+        with DurableShardedService(
+            schema, fds, tmp_path / "d", replicas=[tmp_path / "r1"]
+        ) as svc:
+            svc.insert("R1", row(schema, "R1", "a", "b"))
+            lock = svc.shard_lock("R1")
+            assert svc.inner.shard_lock("R1") is lock
+            if rebuild == "evolve":
+                result = svc.evolve(parse_evolution_op("add-fd A2 -> A1"))
+                assert result.rebuilt == ("R1",)
+            elif rebuild == "repair":
+                svc.repair("R1")
+            else:
+                svc.failover("R1")
+            assert svc.shard_lock("R1") is lock
+            assert svc.health()["shards"]["R1"] == "serving"
+            assert shard_rows(svc, "R1") == [("a", "b")]
+            assert svc.insert("R1", row(schema, "R1", "c", "d")).accepted
 
 
 class TestFailover:
@@ -641,7 +672,7 @@ class TestReplayIdempotence:
             wal.write_bytes(blob)
             with DurableShardedService(schema, fds, root) as svc:
                 states.append(shard_rows(svc, "R1"))
-                sessions.append(dict(svc._sessions.get("R1", {})))
+                sessions.append(dict(svc.inner._shard("R1").sessions))
         assert states[0] == states[1]
         assert sessions[0].keys() == sessions[1].keys()
         for sid in sessions[0]:

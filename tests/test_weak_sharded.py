@@ -220,12 +220,13 @@ class TestPlanner:
         assert refreshed is not facts
         assert refreshed == scratch_window(service.state(), F, "K A")
 
-    def test_merged_path_keeps_hits_below_queries(self):
+    def test_merged_path_keeps_hits_below_queries(self, monkeypatch):
         """Regression: shard consultations inside one merged window are
         not served queries — hits must never exceed window_queries (the
         derived misses counter would go negative)."""
         schema = DatabaseSchema.parse("KA(K,A); KAB(K,A,B)")
-        service = ShardedWeakInstanceService(schema, FDSet(), window_cache_limit=1)
+        monkeypatch.setattr(ShardedWeakInstanceService, "WINDOW_CACHE_LIMIT", 1)
+        service = ShardedWeakInstanceService(schema, FDSet())
         service.load(DatabaseState(schema, {"KA": [(1, 2)], "KAB": [(1, 2, 3)]}))
         for _ in range(4):
             # evict the merged "K A" entry each round, so every query
