@@ -283,11 +283,12 @@ def test_degraded_mode_keeps_healthy_throughput(tmp_path):
         f"{sick} quarantined) | healthy: {healthy['ops_per_sec']}/s | "
         f"degraded: {degraded['ops_per_sec']}/s | ratio={ratio:.2f}x"
     )
-    if not TINY:
-        assert ratio >= 0.5, (
-            f"a quarantined shard must not halve healthy-shard "
-            f"throughput, got {ratio:.2f}x"
-        )
+    if TINY:
+        return  # smoke scale: equivalence only, the artifact stays full-scale
+    assert ratio >= 0.5, (
+        f"a quarantined shard must not halve healthy-shard "
+        f"throughput, got {ratio:.2f}x"
+    )
     emit_bench_json(
         "degraded_serving",
         {

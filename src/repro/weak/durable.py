@@ -14,19 +14,15 @@ whose atomicity a global log would have to protect.  Concretely:
 * **WAL.**  Every accepted, non-duplicate insert or delete appends one
   CRC-framed record (``[u32 length][u32 crc32][JSON payload]``) to its
   scheme's append-only ``wal.log``.  Records are *staged* in memory
-  and written by **group commit**: one :meth:`~DurableShardedService.
-  commit` drains every shard's staged records, writes them, and issues
-  one ``fsync`` per dirty WAL — so ``N`` concurrent writers share
-  fsyncs instead of paying one each.  An operation is durable exactly
-  when the commit covering its ticket has completed
-  (:meth:`~DurableShardedService.wait_durable`).  Because the logs are
-  per shard and the shards independent, there is also no *global*
-  commit order to protect: :meth:`~DurableShardedService.
-  commit_shards` commits any subset of shards in the calling thread,
-  serialized per WAL by that WAL's own I/O lock — concurrent callers
-  owning disjoint shards overlap their fsyncs (which release the
-  GIL), which is where the multi-worker front end's throughput
-  scaling comes from.
+  and written by **per-shard group commit**, the only commit path:
+  :meth:`~DurableShardedService.commit_shards` writes each named
+  shard's staged records and fsyncs once per shard, so writers of one
+  shard share fsyncs.  An operation is durable once a commit of its
+  shard returns.  The shards being independent, there is no global
+  commit order to protect (:meth:`~DurableShardedService.commit` is
+  just every shard): each WAL is serialized by its own I/O lock, and
+  callers owning disjoint shards overlap their fsyncs (which release
+  the GIL) — the multi-worker front end's throughput scaling.
 * **Snapshots.**  Periodically (every ``snapshot_interval`` WAL
   records per shard, or on demand) a shard's full relation is written
   to ``snapshot.json`` — tmp file, ``fsync``, atomic rename, directory
@@ -133,10 +129,11 @@ the constructor's (original) schema only has to match what the store
 was *created* with.
 
 **Threading.**  Mutations and snapshots are safe under concurrent use:
-each scheme has a reentrant shard lock (:meth:`shard_lock`) guarding
-apply+stage order, staging and commit hand off through dedicated
-internal locks, and :meth:`wait_durable` lets callers block for group
-commit without holding any lock.  Reads (``window`` etc.) are *not*
+a reentrant shard lock (:meth:`shard_lock`) orders apply+stage and a
+snapshot's capture, and the WAL's I/O lock orders its drain, write
+and fsync against the snapshot's truncate.  No lock is held across
+two shards' I/O, so one shard's stalled disk never stalls another.
+Reads (``window`` etc.) are *not*
 internally locked — single-threaded callers need nothing, and the
 multi-client front end (:mod:`repro.weak.server`) provides the read
 locking discipline.  Values must be JSON-serializable scalars (the
@@ -211,7 +208,7 @@ CRASH_POINTS = (
     "commit.begin",        # staged records chosen, nothing written yet
     "commit.partial",      # half of one WAL's staged bytes written (torn write)
     "commit.pre-fsync",    # all bytes written and flushed, no fsync yet
-    "commit.post-fsync",   # every dirty WAL fsynced, tickets not yet released
+    "commit.post-fsync",   # one shard's WAL fsynced, its commit not yet returned
     "snapshot.begin",      # shard state captured, nothing written yet
     "snapshot.tmp-written",  # tmp snapshot written + fsynced, not yet renamed
     "snapshot.installed",  # renamed over snapshot.json, WAL not yet truncated
@@ -632,7 +629,7 @@ def _sessions_from_snapshot(raw: object) -> Dict[str, dict]:
         if kind not in ("+", "-", None):
             continue  # pragma: no cover - defensive
         table[str(sid)] = {
-            "seq": seq, "kind": kind, "result": None, "ticket": None
+            "seq": seq, "kind": kind, "result": None, "staged": False
         }
     return table
 
@@ -653,7 +650,7 @@ def _replay_session_frame(
     entry = table.get(str(sid))
     if entry is None or seq >= entry["seq"]:
         table[str(sid)] = {
-            "seq": seq, "kind": op, "result": None, "ticket": None
+            "seq": seq, "kind": op, "result": None, "staged": False
         }
 
 
@@ -1044,10 +1041,11 @@ class DurableShardedService(WindowQueryAPI):
     Construct over a directory: an empty or missing directory
     initializes fresh files; an existing one **recovers** — snapshot
     plus WAL-tail replay per shard, then one atomic load, no chase.
-    ``auto_commit=True`` (the default, for single-threaded and script
-    use) makes every mutation durable before it returns; the
-    multi-client server passes ``auto_commit=False`` and drives
-    :meth:`commit` itself from its group-commit thread.
+    ``auto_commit`` decides whether :meth:`insert`, :meth:`delete`
+    and :meth:`insert_many` commit (and maybe snapshot) the shards
+    they touched before returning (``True``, the default) or only
+    stage, for the caller's :meth:`commit`/:meth:`commit_shards`.
+    The ``apply_*`` calls the server uses always only stage.
 
     ``replicas`` (paths or :class:`ShardStore` objects) receive every
     fsynced WAL blob and snapshot install, before the commit returns
@@ -1107,14 +1105,9 @@ class DurableShardedService(WindowQueryAPI):
         self._rng = rng if rng is not None else random.Random()
         self.stats = DurableServiceStats()
         self._crashed = False
-        # lock order (outer to inner): shard lock -> _io_lock -> _stage_lock;
-        # _commit_cond shares _stage_lock's mutex domain via its own lock
-        self._io_lock = threading.RLock()
+        # innermost lock (shard lock -> WAL io_lock -> this) for
+        # staging and shared counters, never held across I/O
         self._stage_lock = threading.Lock()
-        self._commit_cond = threading.Condition()
-        self._staged_gen = 0
-        self._committed_gen = -1
-        self._dirty: List[str] = []
         self.sync_ship = sync_ship
         # exists before recovery: a rolled-forward shard's snapshot
         # ships its install
@@ -1396,11 +1389,16 @@ class DurableShardedService(WindowQueryAPI):
         # same write order the crashed evolve was following)
         for name in sorted(rolled):
             self._snapshot_locked(name)
-        shards_root = self._store.shards_root
-        if self.schema_version > 0 and shards_root.is_dir():
-            for child in sorted(shards_root.iterdir()):
-                if child.is_dir() and child.name not in self._inner._shards:
-                    shutil.rmtree(child, ignore_errors=True)
+        if self.schema_version > 0:
+            retired = {
+                child.name
+                for store in (self._store, *self._manager.stores)
+                if store.shards_root.is_dir()
+                for child in store.shards_root.iterdir()
+                if child.is_dir() and child.name not in self._inner._shards
+            }
+            for name in sorted(retired):
+                self._retire(name)
 
     # -- crash discipline and per-shard health -----------------------------------
 
@@ -1418,11 +1416,6 @@ class DurableShardedService(WindowQueryAPI):
     def _fault(self, point: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(point)
-
-    def _latch_crash(self) -> None:
-        self._crashed = True
-        with self._commit_cond:
-            self._commit_cond.notify_all()
 
     def shard_status(self, name: str) -> str:
         """One shard's health state (:data:`SHARD_SERVING` /
@@ -1504,17 +1497,12 @@ class DurableShardedService(WindowQueryAPI):
         shard — the front end's per-shard write discipline."""
         return self._inner.shard_lock(name)
 
-    def _stage(self, shard: _SchemeShard, record: bytes) -> int:
-        """Buffer one encoded record for the next group commit;
-        returns the commit ticket that will cover it.  Caller holds
-        the shard lock, so per-shard WAL order is apply order."""
+    def _stage(self, shard: _SchemeShard, record: bytes) -> None:
+        """Buffer one encoded record for the shard's next commit (the
+        caller holds the shard lock: per-shard WAL order is apply order)."""
         with self._stage_lock:
-            wal = shard.wal
-            if not wal.pending:
-                self._dirty.append(shard.name)
-            wal.stage(record)
+            shard.wal.stage(record)
             self.stats.wal_records_appended += 1
-            return self._staged_gen
 
     def _commit_wal(self, name: str, wal: _ShardWal) -> PyTuple[int, int]:
         """Drain, write, and fsync one WAL as a single critical
@@ -1550,14 +1538,12 @@ class DurableShardedService(WindowQueryAPI):
                 except OSError as exc:
                     wal.rollback_to(start)
                     if attempt >= self.io_retries:
-                        # back to the front of the buffer, re-marked
-                        # dirty: a probe, repair, or the next commit
-                        # sees it (nothing acknowledged is ever dropped
-                        # from memory while the shard is sick)
+                        # back to the front of the buffer: a probe,
+                        # repair, or the shard's next commit sees it
+                        # (nothing acknowledged is ever dropped from
+                        # memory while the shard is sick)
                         with self._stage_lock:
                             wal.restage_front(blob, count)
-                            if name not in self._dirty:
-                                self._dirty.append(name)
                         raise self._shard_fault(name, exc) from exc
                     self.stats.io_retries += 1
                     # jittered exponential backoff: shards that failed
@@ -1577,63 +1563,26 @@ class DurableShardedService(WindowQueryAPI):
             self.stats.wal_fsyncs += 1
             # ship while still holding the WAL's I/O lock: frames reach
             # every replica in exactly WAL order, and (sync mode) before
-            # the covering tickets release — acked ⟹ durable-on-quorum
+            # the commit returns — acked ⟹ durable-on-quorum
             if self._manager.has_targets(name):
                 self._fault("ship.begin")
                 self._manager.ship(name, blob, start, count)
             self._fault("commit.post-fsync")
         return len(blob), count
 
-    @_fails_over
-    def commit(self) -> Optional[int]:
-        """Global group commit: write and fsync every staged record,
-        then release the covered tickets.  Returns the committed
-        generation (``None`` when nothing was staged).  Serialized
-        against other global commits and snapshots by the global I/O
-        lock, and against per-shard :meth:`commit_shards` calls by
-        each WAL's own I/O lock — a WAL drained by a concurrent
-        per-shard commit is re-visited here only to synchronize on its
-        lock (empty drain), which is exactly what makes the returned
-        generation mean *durable* rather than merely *drained*.
-        Staging continues concurrently and lands in the next
-        generation.
-        """
-        self._ensure_open()
-        try:
-            with self._io_lock:
-                with self._stage_lock:
-                    # a name may have been retired by a concurrent
-                    # evolution's finalize — its records are already
-                    # superseded by the migrated epoch-stamped snapshot
-                    dirty = [n for n in self._dirty if n in self._inner._shards]
-                    self._dirty = []
-                    gen = self._staged_gen
-                    if dirty:
-                        self._staged_gen += 1
-                if not dirty:
-                    return None
-                failure = self._commit_wals(dirty)
-        except BaseException:
-            self._latch_crash()
-            raise
-        with self._commit_cond:
-            self._committed_gen = gen
-            self._commit_cond.notify_all()
-        if failure is not None:
-            # raised only after the healthy shards' records are durable
-            # and their waiters released; callers on the sick shard must
-            # treat their operation as not-durable (quarantine supersedes
-            # the ticket: the server acks per shard, never through this)
-            raise failure
-        return gen
+    def commit(self) -> None:
+        """:meth:`commit_shards` over every shard."""
+        self.commit_shards(tuple(self._inner._shards))
 
     @_fails_over
     def commit_shards(self, names: Iterable[str]) -> None:
-        """Per-shard synchronous commit: drain, write, and fsync the
-        named shards' staged records in the *calling* thread.  When it
+        """The one commit path: drain, write, and fsync the named
+        shards' staged records in the *calling* thread.  When it
         returns, every record staged on these shards before the call
         is durable (written by this call, or by whichever concurrent
-        committer beat it to the WAL's I/O lock).
+        committer beat it to the WAL's I/O lock).  A sick shard's
+        error is raised after the other shards committed; a name an
+        evolution retired is skipped (the new snapshot holds its data).
 
         This is the independence argument applied to the log itself:
         Theorem 3 says no cross-shard invariant constrains the
@@ -1641,53 +1590,28 @@ class DurableShardedService(WindowQueryAPI):
         shared committer — workers of the front end commit the shards
         they own concurrently, overlapping their fsyncs."""
         self._ensure_open()
-        try:
-            failure = self._commit_wals(sorted(set(names)))
-        except BaseException:
-            self._latch_crash()
-            raise
-        if failure is not None:
-            raise failure
-
-    def _commit_wals(self, names: Iterable[str]) -> Optional[ShardQuarantinedError]:
-        """Commit each named shard's WAL; returns the first shard's
-        error for the caller to raise after every other shard committed
-        (the failure domain is the shard).  A name retired by an
-        evolution is skipped: the new epoch's snapshot holds its data."""
-        written = 0
-        records = 0
+        written = records = 0
         failure: Optional[ShardQuarantinedError] = None
-        for name in names:
-            shard = self._inner._shards.get(name)
-            if shard is None:
-                continue
-            try:
-                wrote, count = self._commit_wal(name, shard.wal)
-            except ShardQuarantinedError as exc:
-                failure = failure if failure is not None else exc
-                continue
-            written += wrote
-            records += count
+        try:
+            for name in sorted(set(names)):
+                shard = self._inner._shards.get(name)
+                if shard is None:
+                    continue
+                try:
+                    wrote, count = self._commit_wal(name, shard.wal)
+                except ShardQuarantinedError as exc:
+                    failure = failure if failure is not None else exc
+                    continue
+                written += wrote
+                records += count
+        except BaseException:
+            self._crashed = True
+            raise
         if records:
             self.stats.wal_commits += 1
             self.stats.wal_bytes_written += written
-        return failure
-
-    def wait_durable(self, ticket: int, timeout: Optional[float] = None) -> bool:
-        """Block until the group commit covering ``ticket`` has fsynced
-        (returns ``True``), the service crashes
-        (:class:`DurableUnavailableError`), or the timeout elapses
-        (returns ``False``).  Callers must not hold shard locks —
-        waiting is what lets other writers fill the next batch."""
-        with self._commit_cond:
-            while self._committed_gen < ticket and not self._crashed:
-                if not self._commit_cond.wait(timeout):
-                    return False
-        if self._committed_gen < ticket:
-            raise DurableUnavailableError(
-                "durable service crashed before the commit completed"
-            )
-        return True
+        if failure is not None:
+            raise failure
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -1716,10 +1640,14 @@ class DurableShardedService(WindowQueryAPI):
                 except OSError as exc:
                     raise self._shard_fault(shard_name, exc) from exc
                 except BaseException:
-                    self._latch_crash()
+                    self._crashed = True
                     raise
 
     def _snapshot_locked(self, name: str) -> None:
+        """Snapshot one shard and cut its WAL.  The caller holds the
+        shard lock with nothing staged, so no commit can write to this
+        WAL before the cut, which the WAL's I/O lock orders after any
+        in-flight commit; other shards are not involved."""
         shard = self._inner._shard(name)
         rows = [list(t.values) for t in shard.relation()]
         self._fault("snapshot.begin")
@@ -1732,21 +1660,21 @@ class DurableShardedService(WindowQueryAPI):
             if shard.sessions
             else None,
         )
-        with self._io_lock:
-            shard.store.write_snapshot(
-                name, payload, self.snapshot_generations, self._fault
-            )
-            self._fault("snapshot.installed")
-            with shard.wal.io_lock:  # no commit may write between snapshot and cut
-                shard.wal.truncate()
-                # replicas must see the same install+truncate, or their
-                # chains diverge at the next shipped frame (base offset
-                # restarts at zero); still under the WAL's I/O lock so
-                # no frame can interleave between truncate and ship
-                if self._manager.has_targets(name):
-                    self._manager.ship_snapshot(name, payload)
+        shard.store.write_snapshot(
+            name, payload, self.snapshot_generations, self._fault
+        )
+        self._fault("snapshot.installed")
+        with shard.wal.io_lock:  # no commit may write between snapshot and cut
+            shard.wal.truncate()
+            # replicas must see the same install+truncate, or their
+            # chains diverge at the next shipped frame (base offset
+            # restarts at zero); still under the WAL's I/O lock so
+            # no frame can interleave between truncate and ship
+            if self._manager.has_targets(name):
+                self._manager.ship_snapshot(name, payload)
+        with self._stage_lock:  # snapshots of two shards may finish together
             self.stats.snapshots_written += 1
-            self._fault("snapshot.done")
+        self._fault("snapshot.done")
 
     def maybe_snapshot(self, names: Optional[Iterable[str]] = None) -> None:
         """Snapshot every shard (or just ``names``) whose WAL has
@@ -1754,7 +1682,7 @@ class DurableShardedService(WindowQueryAPI):
         snapshot.  Non-serving shards are skipped — their snapshot
         happens when a probe or ``repair`` heals them — and so are
         names an evolution retired (the new epoch's snapshot holds
-        their rows, exactly as :meth:`_commit_wals` skips them)."""
+        their rows, exactly as :meth:`commit_shards` skips them)."""
         shards = self._inner._shards
         for name in (shards if names is None else set(names)):
             shard = shards.get(name)
@@ -1772,7 +1700,7 @@ class DurableShardedService(WindowQueryAPI):
     ):
         """Exactly-once gate, under the shard lock (``t`` is the
         submission's coerced tuple).  Returns the
-        original ``(outcome, ticket)`` for a duplicate of the
+        original ``(outcome, staged)`` for a duplicate of the
         session's recorded operation, ``None`` for a fresh sequence —
         and ``None`` for a same-seq retry whose original changed
         nothing (re-executing a no-op is the identity, and after a
@@ -1798,16 +1726,18 @@ class DurableShardedService(WindowQueryAPI):
                 accepted=True, scheme=shard.name, tuple=t,
                 method=self._inner.method,
             )
-        return result, entry.get("ticket")
+        return result, entry["staged"]
 
     @_fails_over
     def apply_insert(
         self, scheme_name: str, row, session: Optional[PyTuple[str, int]] = None
-    ) -> PyTuple[InsertOutcome, Optional[int]]:
+    ) -> PyTuple[InsertOutcome, bool]:
         """Validate, apply, and stage one insert; returns the outcome
-        plus the commit ticket (``None`` for rejected or duplicate
-        inserts, which stage nothing).  The durability building block
-        the front end batches; direct callers want :meth:`insert`.
+        plus whether a record was staged (``False`` for rejected or
+        duplicate inserts); durable once :meth:`commit_shards` of the
+        shard returns.  The front end batches these; direct callers
+        want :meth:`insert`.  A session duplicate returns the
+        original's ``staged``, so it is acked after a commit too.
 
         ``session`` is an exactly-once stamp ``(session_id, seq)``: a
         duplicate of the session's recorded operation returns the
@@ -1819,8 +1749,8 @@ class DurableShardedService(WindowQueryAPI):
     @_fails_over
     def apply_delete(
         self, scheme_name: str, row, session: Optional[PyTuple[str, int]] = None
-    ) -> PyTuple[bool, Optional[int]]:
-        """Apply and stage one delete; ticket is ``None`` when the
+    ) -> PyTuple[bool, bool]:
+        """Apply and stage one delete; ``staged`` is ``False`` when the
         tuple was absent (nothing to log).  ``session`` as in
         :meth:`apply_insert`."""
         return self._apply("-", scheme_name, row, session)
@@ -1852,7 +1782,8 @@ class DurableShardedService(WindowQueryAPI):
                 effectful = result.accepted and not result.reason
             else:
                 result = effectful = self._inner.delete(scheme_name, t)
-            ticket = self._stage(shard, record) if effectful else None
+            if effectful:
+                self._stage(shard, record)
             if session is not None:
                 # an operation that changed nothing (rejected or
                 # duplicate insert, absent delete) records no kind: it
@@ -1865,56 +1796,44 @@ class DurableShardedService(WindowQueryAPI):
                     "seq": int(session[1]),
                     "kind": kind if effectful else None,
                     "result": result,
-                    "ticket": ticket,
+                    "staged": effectful,
                 }
-        return result, ticket
+        return result, effectful
 
-    def _finish(
-        self, ticket: Optional[int], scheme_name: Optional[str] = None
-    ) -> None:
-        if ticket is None:
-            return
-        if self.auto_commit:
-            if scheme_name is None:
-                self.commit()
-                self.maybe_snapshot()
-            else:
-                # single-shard op: commit only its own WAL, so another
-                # shard's quarantined backlog (restaged, still dirty)
-                # can never fail this shard's acknowledgment
-                self.commit_shards([scheme_name])
-                self.maybe_snapshot([scheme_name])
-        else:
-            self.wait_durable(ticket)
+    def _finish(self, staged: bool, names: Iterable[str]) -> None:
+        """With ``auto_commit``, commit and maybe snapshot the touched
+        shards — only those: another shard's backlog cannot fail it."""
+        if staged and self.auto_commit:
+            self.commit_shards(names)
+            self.maybe_snapshot(names)
 
     def insert(
         self, scheme_name: str, row, session: Optional[PyTuple[str, int]] = None
     ) -> InsertOutcome:
-        """Insert, durable before returning (see ``auto_commit``)."""
-        outcome, ticket = self.apply_insert(scheme_name, row, session=session)
-        self._finish(ticket, scheme_name)
+        """Insert; durable on return with ``auto_commit``."""
+        outcome, staged = self.apply_insert(scheme_name, row, session=session)
+        self._finish(staged, [scheme_name])
         return outcome
 
     def delete(
         self, scheme_name: str, row, session: Optional[PyTuple[str, int]] = None
     ) -> bool:
-        """Delete, durable before returning (see ``auto_commit``)."""
-        existed, ticket = self.apply_delete(scheme_name, row, session=session)
-        self._finish(ticket, scheme_name)
+        """Delete; durable on return with ``auto_commit``."""
+        existed, staged = self.apply_delete(scheme_name, row, session=session)
+        self._finish(staged, [scheme_name])
         return existed
 
     @_fails_over
     def apply_insert_many(
         self, ops: Iterable[PyTuple[str, object]]
-    ) -> PyTuple[List[InsertOutcome], Optional[int]]:
+    ) -> PyTuple[List[InsertOutcome], bool]:
         """Batch insert: one fixpoint drive per touched shard (the
-        inner service's batching), every accepted row staged under one
-        ticket — the amortization the front end's group-commit loop
-        rides.  Returns the outcomes plus the covering ticket
-        (``None`` when nothing fresh was accepted)."""
+        inner service's batching), every accepted row staged — the
+        amortization the front end's group-commit loop rides.  Returns
+        the outcomes plus whether anything was staged."""
         self._ensure_open()
         ops = [(name, row) for name, row in ops]
-        ticket: Optional[int] = None
+        staged = False
         # gate every touched shard before anything applies: a batch
         # containing a quarantined shard fails whole and clean, so the
         # front end can retry it minus the sick shard's operations
@@ -1933,13 +1852,15 @@ class DurableShardedService(WindowQueryAPI):
             outcomes = self._inner.insert_many(coerced)
             for (name, _), record, outcome in zip(coerced, records, outcomes):
                 if outcome.accepted and not outcome.reason:
-                    ticket = self._stage(shards[name], record)
-        return outcomes, ticket
+                    self._stage(shards[name], record)
+                    staged = True
+        return outcomes, staged
 
     def insert_many(self, ops: Iterable[PyTuple[str, object]]) -> List[InsertOutcome]:
-        """Batch insert, durable before returning (see ``auto_commit``)."""
-        outcomes, ticket = self.apply_insert_many(ops)
-        self._finish(ticket)
+        """Batch insert; durable on return with ``auto_commit``."""
+        ops = list(ops)
+        outcomes, staged = self.apply_insert_many(ops)
+        self._finish(staged, {name for name, _ in ops})
         return outcomes
 
     def load(self, state: DatabaseState) -> None:
@@ -1953,13 +1874,15 @@ class DurableShardedService(WindowQueryAPI):
             for name in sorted(shards):
                 stack.enter_context(shards[name].lock)
             self._inner.load(state)
-            for name in sorted(shards):
-                self.commit()
-                try:
+            # records staged before the load must reach the WALs
+            # before the snapshots reflect them (the suffix rule)
+            self.commit()
+            try:
+                for name in sorted(shards):
                     self._snapshot_locked(name)
-                except BaseException:
-                    self._latch_crash()
-                    raise
+            except BaseException:
+                self._crashed = True
+                raise
 
     # -- schema evolution --------------------------------------------------------
 
@@ -2041,12 +1964,12 @@ class DurableShardedService(WindowQueryAPI):
             # anything unexpected mid-migration: the global catalog is
             # suspect, so the whole-service crash latch applies (reopen
             # recovers whichever epoch the manifest names)
-            self._latch_crash()
+            self._crashed = True
             raise
         try:
             self._finalize_evolution(result, before)
         except BaseException:
-            self._latch_crash()
+            self._crashed = True
             raise
         return result
 
@@ -2071,20 +1994,28 @@ class DurableShardedService(WindowQueryAPI):
                 self._snapshot_locked(name)
         for name in sorted(set(before) - set(shards)):
             shard = before[name]
-            self._drop_staged(name, shard.wal)
+            self._drop_staged(shard.wal)
             shard.wal.close()
-            shutil.rmtree(shard.store.shard_dir(name), ignore_errors=True)
+            self._retire(name, shard.store)
         self._fault("evolve.done")
 
-    def _drop_staged(self, name: str, wal: _ShardWal) -> int:
+    def _retire(self, name: str, *stores: ShardStore) -> None:
+        """Forget a scheme an evolution retired, on every store: drop
+        its replica targets, then remove ``shards/<name>/`` from the
+        primary root, every replica root and ``stores`` (the retired
+        shard's own store, a promoted replica's after a failover).
+        The evolution's finalize and the recovery sweep both end here."""
+        self._manager.flush()  # a queued async ship must land before the removal
+        stores += (self._store, *self._manager.stores, *self._manager.retire(name))
+        for store in {store.root: store for store in stores}.values():
+            shutil.rmtree(store.shard_dir(name), ignore_errors=True)
+
+    def _drop_staged(self, wal: _ShardWal) -> int:
         """Discard a shard's staged, not yet written records; returns
         how many.  Callers either persist the in-memory state another
         way (a snapshot) or drop an unacknowledged suffix on purpose."""
         with self._stage_lock:
-            _, dropped = wal.take_pending()
-            if name in self._dirty:
-                self._dirty.remove(name)
-        return dropped
+            return wal.take_pending()[1]
 
     # -- self-healing ------------------------------------------------------------
 
@@ -2112,7 +2043,7 @@ class DurableShardedService(WindowQueryAPI):
                     # in-memory backlog is unacknowledged by definition
                     # (an acked record is fsynced): dropping it is the
                     # legal suffix loss
-                    dropped = self._drop_staged(name, shard.wal)
+                    dropped = self._drop_staged(shard.wal)
                     chain = self._read_chain(name, shard.store)
                     if chain.void:
                         raise ReproError(
@@ -2180,7 +2111,7 @@ class DurableShardedService(WindowQueryAPI):
                 # the staged backlog is applied in memory; the post-swap
                 # snapshot below persists it (void shards have no
                 # backlog — they refused every write)
-                self._drop_staged(name, shard.wal)
+                self._drop_staged(shard.wal)
                 shard.wal.close()
                 demoted = shard.store
                 _attach(shard, promoted.store)

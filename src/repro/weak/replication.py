@@ -21,8 +21,8 @@ to ship.  This module holds the shipping side, :class:`ReplicationManager`
   (independently fault-injectable).  A replica appends the frames at
   the expected base offset and fsyncs; the ack is recorded as a
   replication ``(epoch, offset)`` pair plus a cumulative frame count.
-  In the default **sync** mode the ship happens before the covering
-  commit tickets release: *acked ⟹ fsynced on the primary AND on every
+  In the default **sync** mode the ship happens before the shard's
+  commit returns: *acked ⟹ fsynced on the primary AND on every
   reachable replica*.  ``sync_ship=False`` ships from a background
   thread (acked ⟹ primary-durable; :meth:`ReplicationManager.flush`
   waits for the queue to land).
@@ -62,7 +62,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import NoPromotableReplicaError, ReplicationError
 from repro.weak.durable import DurableShardedService, ShardStore
@@ -376,6 +376,14 @@ class ReplicationManager:
             self._targets_for(name)[store.label] = target
             self._ack(name, target)
             return target
+
+    def retire(self, name: str) -> List[ShardStore]:
+        """Forget a shard an evolution retired; returns the stores that
+        were its targets, for the caller to clear."""
+        with self._lock:
+            for table in (self._primary_frames, self._primary_offset, self.epochs):
+                table.pop(name, None)
+            return [t.store for t in self._targets.pop(name, {}).values()]
 
     # -- observability -----------------------------------------------------------
 

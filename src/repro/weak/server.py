@@ -38,9 +38,9 @@ independence the sharding does:
   a later read: the write is applied before the future resolves.
 
 The server works over a plain in-memory sharded service (writes are
-applied under shard locks, no tickets) or a durable one (writes are
-staged to the WAL and acknowledged only after their group commit
-fsyncs).  If the durable layer crashes — for real or through a fault
+applied under shard locks) or a durable one (writes are staged and
+acknowledged only after the worker's commit of their shard fsyncs).
+If the durable layer crashes — for real or through a fault
 hook — every in-flight and subsequent write fails with
 :class:`~repro.weak.durable.DurableUnavailableError`; reads keep
 serving the in-memory state, mirroring a read-only degraded mode.
@@ -345,7 +345,7 @@ class WeakInstanceServer(WindowQueryAPI):
         remaining = run
         while remaining:
             try:
-                outcomes, ticket = svc.apply_insert_many(
+                outcomes, staged = svc.apply_insert_many(
                     [(r.scheme, r.row) for r in remaining]
                 )
             except ShardQuarantinedError as exc:
@@ -360,7 +360,7 @@ class WeakInstanceServer(WindowQueryAPI):
                 for r, outcome in zip(remaining, outcomes):
                     r.result = outcome
                     resolved.append(r)
-                return ticket is not None
+                return staged
         return False
 
     def _process_batch(self, batch: List[_WriteRequest]) -> None:
@@ -416,18 +416,18 @@ class WeakInstanceServer(WindowQueryAPI):
                 try:
                     if self.durable:
                         if request.kind == "insert":
-                            outcome, ticket = svc.apply_insert(
+                            outcome, staged_now = svc.apply_insert(
                                 request.scheme,
                                 request.row,
                                 session=request.session,
                             )
                         else:
-                            outcome, ticket = svc.apply_delete(
+                            outcome, staged_now = svc.apply_delete(
                                 request.scheme,
                                 request.row,
                                 session=request.session,
                             )
-                        staged = staged or ticket is not None
+                        staged = staged or staged_now
                     else:
                         with self._locks[request.scheme]:
                             outcome = svc.delete(request.scheme, request.row)

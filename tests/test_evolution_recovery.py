@@ -196,9 +196,9 @@ def test_retired_and_unknown_names_never_raise_key_error(tmp_path):
     an unknown or retired shard raises the schema's own error."""
     with DurableShardedService(SCHEMA, FDS, tmp_path / "d") as svc:
         svc.load(BASE)
-        _outcome, ticket = svc.apply_insert("CHR", ("c3", "h3", "r3"))
+        _outcome, staged = svc.apply_insert("CHR", ("c3", "h3", "r3"))
+        assert staged
         svc.evolve(parse_evolution_op(SPLIT))
-        assert svc.wait_durable(ticket, timeout=5)
         assert ("c3", "h3") in _sets(svc)["CH"]
         svc.commit_shards(["CHR"])
         svc.maybe_snapshot(["CHR"])
@@ -207,6 +207,33 @@ def test_retired_and_unknown_names_never_raise_key_error(tmp_path):
                 svc.snapshot(name)
             with pytest.raises(SchemaError):
                 svc.shard_lock(name)
+
+
+@pytest.mark.parametrize("point", [None, "evolve.manifest"], ids=["live", "evolve-manifest"])
+def test_split_retires_the_source_on_replica_stores_too(tmp_path, point):
+    """The retired scheme's directory leaves every store, the
+    replica's included: after the split — completed live, or crashed
+    at the commit point and recovered by reopen — no store holds
+    ``CHR``, and the replica verifies clean against the primary."""
+    root, replica = tmp_path / "d", tmp_path / "r"
+    hook = None if point is None else FaultInjector(point)
+    run_evolution_until_crash(
+        SCHEMA, FDS, root, BASE, parse_evolution_op(SPLIT), hook,
+        replicas=[replica],
+    )
+    current = ["CH", "CR", "CS", "CT"]
+    if point is None:
+        assert sorted(p.name for p in (replica / "shards").iterdir()) == current
+    back = reopen(SCHEMA, FDS, root, replicas=[replica])
+    try:
+        assert back.schema_version == 1
+        for store in (root, replica):
+            assert sorted(p.name for p in (store / "shards").iterdir()) == current
+        report = verify_store(root, replicas=[replica])
+        assert report["ok"]
+        assert sorted(report["replicas"][str(replica)]["shards"]) == current
+    finally:
+        back.close()
 
 
 def test_rejected_evolution_leaves_the_store_at_the_old_epoch(tmp_path):

@@ -25,6 +25,9 @@ contract Theorem 3 licenses:
 
 import errno
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -38,6 +41,7 @@ from repro.weak.durable import (
     SHARD_QUARANTINED,
     SHARD_SERVING,
     DurableShardedService,
+    StoreIO,
     verify_store,
 )
 from repro.weak.server import WeakInstanceServer
@@ -390,6 +394,79 @@ class TestVerifyStore:
     def test_verify_store_rejects_non_store(self, tmp_path):
         with pytest.raises(ReproError):
             verify_store(tmp_path)
+
+
+class StallingIO(StoreIO):
+    """Holds every snapshot write of the shard named ``stall`` until
+    ``release`` is set."""
+
+    def __init__(self):
+        self.stall = None
+        self.stalled = threading.Event()
+        self.release = threading.Event()
+
+    def snapshot_write(self, path, payload):
+        if path.parent.name == self.stall:
+            self.stalled.set()
+            self.release.wait(30)
+        super().snapshot_write(path, payload)
+
+
+class TestShardIndependentIO:
+    def test_stalled_snapshot_blocks_no_other_shard(self, tmp_path):
+        """One shard's stuck snapshot write holds up only that shard:
+        while R1's snapshot waits inside its write, R2's snapshot,
+        batch insert and single insert all finish, and after the
+        release both shards reopen with every row."""
+        io = StallingIO()
+        svc = open_service(tmp_path / "d", io)
+        svc.insert("R1", row(1, 0))
+        svc.insert("R2", row(2, 0))
+        io.stall = "R1"
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            held = pool.submit(svc.snapshot, "R1")
+            try:
+                assert io.stalled.wait(10)
+                pool.submit(svc.snapshot, "R2").result(timeout=1)
+                pool.submit(svc.insert_many, [("R2", row(2, 1))]).result(timeout=1)
+                pool.submit(svc.insert, "R2", row(2, 2)).result(timeout=1)
+                assert not held.done()
+            finally:
+                io.release.set()
+            held.result(timeout=10)
+        svc.close()
+        with open_service(tmp_path / "d") as back:
+            assert stored(back, "R1") == [srow(1, 0)]
+            assert stored(back, "R2") == sorted(srow(2, j) for j in range(3))
+
+    def test_concurrent_shard_writes_and_snapshots(self, tmp_path):
+        """No service-wide lock orders different shards' commits and
+        snapshots: with more threads than cores and a short switch
+        interval, every write survives reopen and every snapshot is
+        counted."""
+        svc = open_service(tmp_path / "d")
+        rounds = 12
+
+        def work(i):
+            for j in range(rounds):
+                svc.insert(f"R{i}", row(i, j))
+                svc.snapshot(f"R{i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                for future in [pool.submit(work, i) for i in (1, 2, 3)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert svc.stats.snapshots_written == 3 * rounds
+        svc.close()
+        with open_service(tmp_path / "d") as back:
+            for i in (1, 2, 3):
+                assert stored(back, f"R{i}") == sorted(
+                    srow(i, j) for j in range(rounds)
+                )
 
 
 class TestServerIsolationAndBackpressure:

@@ -10,6 +10,8 @@ asserting prefix-consistent (torn-free) reads and monotone version
 stamps, then a restart proving the acknowledged history survived.
 """
 
+import shutil
+
 import pytest
 
 from repro.weak.durable import DurableShardedService, DurableUnavailableError
@@ -228,21 +230,42 @@ class TestStopAndDurabilityTimeouts:
             }
             assert recovered == {"R1": 40, "R2": 40}
 
-    def test_wait_durable_timeout_expires_then_succeeds(self, tmp_path):
-        """``wait_durable`` with a timeout returns ``False`` while the
-        covering group commit is still pending, without acknowledging
-        anything — and ``True`` once the commit lands."""
+    def test_staged_writes_wait_for_commit(self, tmp_path):
+        """With ``auto_commit=False`` a write is staged, not durable:
+        ``apply_*`` report ``staged`` only for an operation that
+        changed something (a session duplicate repeats its original's
+        answer), a crash-copy of the store taken before ``commit()``
+        lacks the rows, and one taken after holds them."""
         schema, fds = disjoint_star_schema(2)
         with DurableShardedService(
             schema, fds, tmp_path / "d", auto_commit=False
         ) as service:
-            outcome, ticket = service.apply_insert("R1", ("k0", "a0", "b0"))
-            assert outcome.accepted and ticket is not None
-            assert service.wait_durable(ticket, timeout=0.05) is False
+            outcome, staged = service.apply_insert("R1", ("k0", "a0", "b0"))
+            assert outcome.accepted and staged is True
+            # duplicate insert, FD-violating insert, absent delete
+            outcome, staged = service.apply_insert("R1", ("k0", "a0", "b0"))
+            assert outcome.accepted and staged is False
+            outcome, staged = service.apply_insert("R1", ("k0", "a1", "b0"))
+            assert not outcome.accepted and staged is False
+            assert service.apply_delete("R2", ("k9", "a9", "b9")) == (False, False)
+            # a session duplicate makes its caller commit the shard too
+            row = ("k1", "a1", "b1")
+            for _attempt in range(2):
+                outcome, staged = service.apply_insert(
+                    "R2", row, session=("s", 1)
+                )
+                assert outcome.accepted and staged is True
+            # a direct insert stages and returns without committing
+            assert service.insert("R2", ("k2", "a2", "b2")).accepted
+            shutil.copytree(tmp_path / "d", tmp_path / "before")
             service.commit()
-            assert service.wait_durable(ticket, timeout=0.05) is True
-            # an already-covered ticket never blocks
-            assert service.wait_durable(ticket) is True
+            shutil.copytree(tmp_path / "d", tmp_path / "after")
+        expected = {"R1": 1, "R2": 2}
+        for copy, rows in (("before", {"R1": 0, "R2": 0}), ("after", expected)):
+            with DurableShardedService(schema, fds, tmp_path / copy) as back:
+                assert {
+                    scheme.name: len(relation) for scheme, relation in back.state()
+                } == rows, copy
 
 
 class TestMultiWriterStress:
