@@ -196,7 +196,7 @@ class _FDRuleIndex:
             raise ValueError("seeded buckets do not match the FD list")
         if template is not None:
             # A rebuilt tableau over the same universe (services rebuild
-            # shard/composer tableaus from state many times): the per-FD
+            # their tableaus from state many times): the per-FD
             # column metadata is a function of (universe, fds) only, so
             # share it and reset just the per-tableau buckets.
             if template.columns != tableau.columns:
@@ -623,7 +623,7 @@ class IncrementalFDChaser:
 
         Reuses this driver's per-FD column metadata (the static part of
         its rule index) instead of re-deriving it per FD — the cheap
-        path for services that rebuild shard or composer tableaus from
+        path for services that rebuild their tableaus from
         their backing state.  The new driver is unseeded and unpoisoned
         regardless of this one's history.
         """

@@ -586,6 +586,8 @@ def _cmd_verify_store(args: argparse.Namespace) -> int:
     print(f"store {report['root']}: {'OK' if report['ok'] else 'CORRUPT'}")
     for finding in report["findings"]:
         print(f"  {finding}")
+    if report.get("retired_dirs"):
+        print(f"  retired, swept on reopen: {', '.join(report['retired_dirs'])}")
     for name in sorted(report["shards"]):
         entry = report["shards"][name]
         snaps = ", ".join(
@@ -603,6 +605,8 @@ def _cmd_verify_store(args: argparse.Namespace) -> int:
         rep = report["replicas"][root]
         verdict = "OK" if not rep["findings"] else "DIVERGENT"
         print(f"replica {root}: {verdict}")
+        if rep["retired_dirs"]:
+            print(f"  retired, swept on reopen: {', '.join(rep['retired_dirs'])}")
         for name in sorted(rep["shards"]):
             rentry = rep["shards"][name]
             if rentry.get("missing"):

@@ -30,7 +30,7 @@ is one for ``p`` minus a tuple), so only insertions are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Literal, Optional, Set, Tuple as PyTuple, Union
+from typing import Any, Dict, List, Literal, Optional, Sequence, Set, Tuple as PyTuple, Union
 
 from repro.chase.satisfaction import satisfies
 from repro.core.independence import IndependenceReport, analyze
@@ -69,7 +69,9 @@ class InsertOutcome:
 class _FDIndex:
     """Hash index enforcing one FD on one relation.
 
-    Maps lhs-value keys to (rhs-values, multiplicity).  Lookup and
+    Maps each lhs-value key to one ``(rhs-values, multiplicity)`` pair:
+    :meth:`conflicts` rejects every insert that would give a key a
+    second rhs, so a consistent index never needs more.  Lookup and
     maintenance are O(1) per operation.
 
     ``strict`` (default: the module flag
@@ -83,7 +85,7 @@ class _FDIndex:
         self.fd = fd
         self._lhs = fd.lhs.names
         self._rhs = fd.effective_rhs.names
-        self._map: Dict[PyTuple[Any, ...], Dict[PyTuple[Any, ...], int]] = {}
+        self._map: Dict[PyTuple[Any, ...], PyTuple[PyTuple[Any, ...], int]] = {}
         self._strict = STRICT_INDEX_ACCOUNTING if strict is None else strict
 
     def _key(self, t: Tuple) -> PyTuple[Any, ...]:
@@ -95,41 +97,36 @@ class _FDIndex:
     def clone(self) -> "_FDIndex":
         """An independent copy (staging area for atomic loads)."""
         other = _FDIndex(self.fd, strict=self._strict)
-        other._map = {key: dict(entry) for key, entry in self._map.items()}
+        # the (rhs, count) entries are immutable: a shallow copy suffices
+        other._map = dict(self._map)
         return other
 
     def conflicts(self, t: Tuple) -> bool:
         entry = self._map.get(self._key(t))
-        if not entry:
-            return False
-        # A consistent index holds exactly one distinct rhs per key
-        # (conflicts() rejected every insert that would have added a
-        # second), so one comparison decides.
-        return next(iter(entry)) != self._val(t)
+        return entry is not None and entry[0] != self._val(t)
 
     def add(self, t: Tuple) -> None:
-        entry = self._map.setdefault(self._key(t), {})
-        val = self._val(t)
-        entry[val] = entry.get(val, 0) + 1
+        key = self._key(t)
+        entry = self._map.get(key)
+        if entry is None:
+            self._map[key] = (self._val(t), 1)
+        else:
+            self._map[key] = (entry[0], entry[1] + 1)
 
     def remove(self, t: Tuple) -> None:
         key = self._key(t)
         entry = self._map.get(key)
-        val = self._val(t)
-        if not entry or val not in entry:
+        if entry is None or entry[0] != self._val(t):
             if self._strict:
                 raise InstanceError(
                     f"index accounting bug: removing {t} from the index on "
                     f"{self.fd}, which never stored it"
                 )
             return
-        count = entry[val]
-        if count <= 1:
-            del entry[val]
-            if not entry:
-                del self._map[key]
+        if entry[1] <= 1:
+            del self._map[key]
         else:
-            entry[val] = count - 1
+            self._map[key] = (entry[0], entry[1] - 1)
 
 
 class MaintenanceChecker:
@@ -172,7 +169,9 @@ class MaintenanceChecker:
 
     # -- loading --------------------------------------------------------------
 
-    def load(self, state: DatabaseState, assume_valid: bool = False) -> None:
+    def load(
+        self, state: DatabaseState, assume_valid: bool = False
+    ) -> Dict[str, List[Tuple]]:
         """Load a base state atomically (must satisfy the dependencies).
 
         The state is validated into a staging area first and committed
@@ -187,6 +186,8 @@ class MaintenanceChecker:
         through its own live chase).  The local method always
         validates: its per-tuple index checks are cheap and double as
         the staging pass.
+
+        Returns the tuples added, per relation of ``state``.
         """
         staged: Dict[str, List[Tuple]] = {}
         for scheme, relation in state:
@@ -197,7 +198,7 @@ class MaintenanceChecker:
                 if t in present or t in seen:
                     continue
                 seen.add(t)
-                fresh.append(t)
+                fresh.append(self._own(scheme.name, t))
             staged[scheme.name] = fresh
 
         if self.method == "local":
@@ -234,6 +235,7 @@ class MaintenanceChecker:
         for name, fresh in staged.items():
             self._tuples[name].extend(fresh)
             self._present[name].update(fresh)
+        return staged
 
     # -- queries ----------------------------------------------------------------
 
@@ -243,16 +245,31 @@ class MaintenanceChecker:
             self.schema, {name: list(ts) for name, ts in self._tuples.items()}
         )
 
+    def rows(self, scheme_name: str) -> Sequence[Tuple]:
+        """One relation's stored tuples in insertion order — the live
+        list, not a copy: read it, never mutate it."""
+        return self._tuples[scheme_name]
+
     def total_tuples(self) -> int:
         return sum(len(ts) for ts in self._tuples.values())
 
     def _coerce(self, scheme_name: str, row: RowLike) -> Tuple:
         scheme = self.schema[scheme_name]
         if isinstance(row, Tuple):
-            return row
+            return self._own(scheme_name, row)
         from repro.data.relations import _coerce_row
 
         return _coerce_row(row, scheme.attributes, scheme.columns)
+
+    def _own(self, scheme_name: str, t: Tuple) -> Tuple:
+        """``t`` over the scheme's own :class:`AttributeSet` instance,
+        so every stored tuple shares it instead of holding an equal
+        copy (a tuple over other attributes is left for the caller's
+        checks to refuse)."""
+        attrs = self.schema[scheme_name].attributes
+        if t.attributes is attrs or t.attributes != attrs:
+            return t
+        return Tuple(attrs, t.values)
 
     def coerce_tuple(self, scheme_name: str, row: RowLike) -> Tuple:
         """Interpret a row against the scheme's declared column order."""

@@ -47,7 +47,12 @@ class RelationInstance:
         rows: Iterable[RowLike] = (),
         columns: Optional[Sequence[str]] = None,
     ):
-        attrset = AttributeSet(attributes)
+        # shared, not copied: the coerced tuples then share it too
+        attrset = (
+            attributes
+            if isinstance(attributes, AttributeSet)
+            else AttributeSet(attributes)
+        )
         if columns is None:
             declared = ordered_names(attributes)
             columns = declared if len(declared) == len(attrset) else attrset.names

@@ -20,7 +20,13 @@ class Tuple:
     __slots__ = ("_attrs", "_values", "_hash")
 
     def __init__(self, attributes: AttrsLike, values: Union[Mapping[str, Any], Sequence[Any]]):
-        attrset = AttributeSet(attributes)
+        # an AttributeSet is immutable, so every tuple of one relation
+        # can share its scheme's instance instead of carrying a copy
+        attrset = (
+            attributes
+            if isinstance(attributes, AttributeSet)
+            else AttributeSet(attributes)
+        )
         if isinstance(values, Mapping):
             missing = [a for a in attrset if a not in values]
             if missing:

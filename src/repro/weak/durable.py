@@ -37,14 +37,14 @@ whose atomicity a global log would have to protect.  Concretely:
   chain once — :func:`read_chain`: the newest readable snapshot
   generation, then the WAL tail replayed over it (stopping at a torn
   or corrupt frame, which is truncated) — and loads the reconstructed
-  state into the
-  sharded service in one atomic :meth:`~repro.weak.sharded.
-  ShardedWeakInstanceService.load` — pure set arithmetic plus index
-  builds, **no chase**: the shard tableaux and the global composer are
-  rebuilt lazily through the column-major bulk kernel
+  state into the sharded service in one atomic
+  :meth:`~repro.weak.sharded.ShardedWeakInstanceService.load` — pure
+  set arithmetic plus index builds, **no chase**: shards serve straight
+  from their relations, and the global composer is rebuilt lazily
+  through the column-major bulk kernel
   (:func:`repro.chase.bulk.ingest_state`) when first queried.  The
-  recovered state is always, per shard, the state after some prefix of
-  that shard's operation history — at least every acknowledged
+  recovered state is always, per shard, the state after some prefix
+  of that shard's operation history — at least every acknowledged
   (fsynced) operation, at most every applied one.  Cross-shard, the
   prefixes are independent; Theorem 3 is exactly the license for that
   (any combination of per-shard satisfying states is satisfying).
@@ -115,10 +115,10 @@ ShardedWeakInstanceService.evolve` durable.  The commit point is a
 root-level **schema WAL** (``schema.log``, same CRC framing as the
 shard WALs) plus an atomic manifest rewrite: the evolution record —
 epoch, the serialized op, the old and new catalogs — is appended and
-fsynced first, then ``MANIFEST.json`` is replaced (tmp + rename) to
-name the new epoch.  A crash *before* the manifest replace recovers
-the old epoch untouched; a crash *after* it recovers the new epoch,
-**rolling forward** any shard whose on-disk snapshot predates the
+fsynced first, then ``MANIFEST.json`` is replaced (tmp written and
+fsynced, renamed, directory fsynced) to name the new epoch.  A crash
+*before* the manifest replace recovers the old epoch untouched; a
+crash *after* it recovers the new epoch, **rolling forward** any shard whose on-disk snapshot predates the
 manifest's epoch by re-applying the logged op's deterministic
 ``migrate_relations`` transform to the retired source shards (their
 directories are retained until every migrated shard's epoch-stamped
@@ -784,6 +784,16 @@ class ShardStore:
         snapshot-copy leg of anti-entropy)."""
         _write_fsync(self.io, self.wal_path(name), data, "wb")
 
+    def retired_dirs(self, live) -> List[str]:
+        """Shard directories not named in ``live``: crash residue of an
+        evolution's retired schemes, which the next open sweeps."""
+        if not self.shards_root.is_dir():
+            return []
+        return sorted(
+            c.name for c in self.shards_root.iterdir()
+            if c.is_dir() and c.name not in live
+        )
+
     def chain_summary(self, name: str) -> Dict[str, object]:
         """Read the shard's chain (replicas keep a single snapshot
         generation) for promotion ranking: snapshot present, rows after
@@ -1183,12 +1193,14 @@ class DurableShardedService(WindowQueryAPI):
     def _write_manifest(
         self, schema: DatabaseSchema, fds: FDSet, epoch: int
     ) -> None:
-        """Rewrite the manifest atomically (tmp + rename).  For an
+        """Rewrite the manifest durably: write and fsync a tmp file,
+        rename it over the manifest, fsync the directory.  For an
         evolution this replace IS the commit point: before it the store
         recovers the old epoch, after it the new one."""
         names = sorted(s.name for s in schema)
         tmp = self.root / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(
+        self.io.snapshot_write(
+            tmp,
             json.dumps(
                 {
                     "format": _FORMAT,
@@ -1198,9 +1210,10 @@ class DurableShardedService(WindowQueryAPI):
                     "fds": _fds_to_json(fds),
                 },
                 indent=2,
-            )
+            ),
         )
         self.io.replace(tmp, self.root / MANIFEST_NAME)
+        self.io.dir_fsync(self.root)
 
     def _read_manifest(self) -> Optional[Dict[str, object]]:
         """The store's manifest, or ``None`` for a fresh directory."""
@@ -1257,8 +1270,7 @@ class DurableShardedService(WindowQueryAPI):
         """Take over a chain's session table and replay bookkeeping for
         one shard; returns its rows, attribute-keyed, for the caller to
         load — in one atomic load at open, or through ``reload_shard``
-        (a fresh shard build that re-validates the rows and leaves the
-        tableau to the bulk kernel's lazy re-chase)."""
+        (a fresh shard build that re-validates the rows)."""
         shard = self._inner._shard(name)
         self.stats.session_records += len(chain.sessions) - len(shard.sessions)
         shard.sessions = chain.sessions
@@ -1328,10 +1340,10 @@ class DurableShardedService(WindowQueryAPI):
 
         Replay is pure set arithmetic on value tuples; the single
         :meth:`~repro.weak.sharded.ShardedWeakInstanceService.load`
-        that follows builds the shard indexes, and every tableau is
-        rebuilt lazily by the bulk kernel when first queried — the
-        recovery path never chases.  A shard whose newest snapshot is
-        corrupt falls back to the next good generation (logged and
+        that follows builds the shard indexes, and the composer's
+        tableau is rebuilt lazily by the bulk kernel when first
+        queried — the recovery path never chases.  A shard whose
+        newest snapshot is corrupt falls back to the next good generation (logged and
         counted — acknowledged records may roll back, which beats the
         alternative of not opening at all); a shard with *no* good
         generation but corrupt ones opens quarantined and void, for
@@ -1390,13 +1402,8 @@ class DurableShardedService(WindowQueryAPI):
         for name in sorted(rolled):
             self._snapshot_locked(name)
         if self.schema_version > 0:
-            retired = {
-                child.name
-                for store in (self._store, *self._manager.stores)
-                if store.shards_root.is_dir()
-                for child in store.shards_root.iterdir()
-                if child.is_dir() and child.name not in self._inner._shards
-            }
+            stores, live = (self._store, *self._manager.stores), self._inner._shards
+            retired = {n for s in stores for n in s.retired_dirs(live)}
             for name in sorted(retired):
                 self._retire(name)
 
@@ -1827,10 +1834,10 @@ class DurableShardedService(WindowQueryAPI):
     def apply_insert_many(
         self, ops: Iterable[PyTuple[str, object]]
     ) -> PyTuple[List[InsertOutcome], bool]:
-        """Batch insert: one fixpoint drive per touched shard (the
-        inner service's batching), every accepted row staged — the
-        amortization the front end's group-commit loop rides.  Returns
-        the outcomes plus whether anything was staged."""
+        """Batch insert: each touched shard gated and locked once for
+        the whole batch, every accepted row staged — the amortization
+        the front end's group-commit loop rides.  Returns the outcomes
+        plus whether anything was staged."""
         self._ensure_open()
         ops = [(name, row) for name, row in ops]
         staged = False
@@ -1943,7 +1950,6 @@ class DurableShardedService(WindowQueryAPI):
             # the commit point: after this replace, recovery rolls
             # forward to the new epoch; before it, the old epoch wins
             self._write_manifest(new_schema, new_fds, epoch)
-            self.io.dir_fsync(self.root)
             self._fault("evolve.manifest")
 
         # the mid-migration window's writes must go through THIS layer:
@@ -2022,8 +2028,8 @@ class DurableShardedService(WindowQueryAPI):
     def repair(self, name: str) -> Dict[str, object]:
         """Heal one shard online: roll back to the newest good
         snapshot generation, replay the WAL's intact tail, bulk-load
-        the result into a fresh shard (re-validated and re-chased
-        lazily through the bulk kernel), write a clean snapshot, and
+        the result into a fresh shard (re-validated through its
+        checker; no chase), write a clean snapshot, and
         return the shard to serving.  Every other shard keeps serving
         throughout — repair holds only this shard's lock.
 
@@ -2093,8 +2099,8 @@ class DurableShardedService(WindowQueryAPI):
         into a clean snapshot on the promoted store.  Void path (the
         shard opened with no readable chain): the promoted chain is
         read and bulk-loaded through :meth:`~repro.weak.sharded.
-        ShardedWeakInstanceService.reload_shard` (lazy bulk-kernel
-        re-chase), session table included.  Either way the shard ends
+        ShardedWeakInstanceService.reload_shard` (re-validated, not
+        chased), session table included.  Either way the shard ends
         SERVING on the replica's files, the planner re-routes, the
         replication epoch bumps, and the demoted store is remembered
         for :meth:`rejoin`.
@@ -2352,7 +2358,9 @@ def verify_store(
     replica has not installed yet) is merely behind — reported, not a
     failure; **divergence** (neither sequence a prefix of the other)
     is a finding.  A replica missing a shard directory has never
-    received that shard: all behind, not damaged.
+    received that shard: all behind, not damaged.  Shard directories
+    the manifest does not name (``retired_dirs``, primary and per
+    replica) are crash residue the next open sweeps, not a failure.
 
     Returns a report dict: ``ok`` is ``True`` iff nothing worse than a
     torn WAL tail (the expected residue of a crash) was found; each
@@ -2437,7 +2445,9 @@ def verify_store(
     replica_reports: Dict[str, Dict[str, object]] = {}
     for replica_root in replicas:
         store = ShardStore(replica_root)
-        rep: Dict[str, object] = {"shards": {}, "findings": []}
+        rep: Dict[str, object] = {
+            "shards": {}, "findings": [], "retired_dirs": store.retired_dirs(names)
+        }
         for name in names:
             entry, chain = _scrub_shard(store, name)
             rep["shards"][name] = entry
@@ -2468,6 +2478,7 @@ def verify_store(
         "epoch": epoch,
         "schema_log": schema_log,
         "shards": shards,
+        "retired_dirs": primary.retired_dirs(names),
     }
     if replica_reports:
         report["replicas"] = replica_reports

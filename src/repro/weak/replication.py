@@ -36,8 +36,8 @@ to ship.  This module holds the shipping side, :class:`ReplicationManager`
 * **Failover.**  A persistent quarantine (status ``quarantined``)
   promotes the most-caught-up replica: the shard's store is swapped for
   the replica's, a shard whose own chain was unreadable is rebuilt from
-  the promoted chain through the bulk kernel (a live one keeps its
-  in-memory state, which holds every acked write), a clean snapshot on
+  the promoted chain (a live one keeps its in-memory state, which
+  holds every acked write), a clean snapshot on
   the new store re-aligns the other replicas, the replication epoch
   bumps, and reads re-route.  Every public write/read entry point
   retries once through a failover, so clients see a hiccup, not an
@@ -112,8 +112,10 @@ class ReplicationManager:
 
     ``replicas`` are paths (a :class:`ShardStore` with the default
     ``StoreIO`` is built over each) or prebuilt stores; duplicate
-    labels get an index suffix.  One lock serializes target-state
-    mutation; the sync ship path runs in the committing thread (under
+    labels get an index suffix.  A shard's lock guards its target
+    state across its replica I/O (a stalled replica stalls only that
+    shard); the manager lock guards the lock table and counters.
+    The sync ship path runs in the committing thread (under
     the shard WAL's I/O lock, so frames reach replicas in WAL order),
     the async path drains a FIFO queue on a daemon thread — same
     per-item logic, same ordering, weaker ack timing."""
@@ -135,7 +137,8 @@ class ReplicationManager:
             labels.add(store.label)
             self.stores.append(store)
         self.clock = clock
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
+        self._shard_locks: Dict[str, threading.RLock] = {}
         self._targets: Dict[str, Dict[str, _Target]] = {}
         #: cumulative frames the primary has shipped per shard — the
         #: monotone measure lag is computed against (snapshot
@@ -162,8 +165,18 @@ class ReplicationManager:
             self._targets[name] = table
         return table
 
-    def has_targets(self, name: str) -> bool:
+    def _shard_lock(self, name: str) -> threading.RLock:
         with self._lock:
+            return self._shard_locks.setdefault(name, threading.RLock())
+
+    def _count(self, **deltas: int) -> None:
+        stats = self.service.stats
+        with self._lock:  # shards ship concurrently; += is not atomic
+            for counter, n in deltas.items():
+                setattr(stats, counter, getattr(stats, counter) + n)
+
+    def has_targets(self, name: str) -> bool:
+        with self._shard_lock(name):
             return bool(self._targets_for(name))
 
     # -- shipping ----------------------------------------------------------------
@@ -232,10 +245,10 @@ class ReplicationManager:
                 # chain from the primary's current bytes, which already
                 # include this blob
                 self._sync_target(name, target)
-            self.service.stats.replica_frames_shipped += count
-            self.service.stats.replica_bytes_shipped += len(blob)
+            self._count(replica_frames_shipped=count,
+                        replica_bytes_shipped=len(blob))
 
-        with self._lock:
+        with self._shard_lock(name):
             self._primary_frames[name] = self._primary_frames.get(name, 0) + count
             self._primary_offset[name] = base_offset + len(blob)
             self._deliver(name, deliver)
@@ -243,16 +256,16 @@ class ReplicationManager:
     def _install_now(self, name: str, payload: str) -> None:
         def deliver(target: _Target) -> None:
             target.store.install_snapshot(name, payload)
-            self.service.stats.replica_snapshot_installs += 1
+            self._count(replica_snapshot_installs=1)
 
-        with self._lock:
+        with self._shard_lock(name):
             # the primary's WAL is empty right after the truncation the
             # caller just performed; aligned replicas restart at offset 0
             self._primary_offset[name] = 0
             self._deliver(name, deliver)
 
     def _deliver(self, name: str, deliver) -> None:
-        """Run ``deliver`` against every target of one shard (manager
+        """Run ``deliver`` against every target of one shard (its
         lock held): a target that took it is acked, one whose disk
         refused is marked behind — a replica fault never reaches the
         primary."""
@@ -275,7 +288,7 @@ class ReplicationManager:
     def _mark_behind(self, name: str, target: _Target, exc: OSError) -> None:
         target.error = f"{type(exc).__name__}: {exc}"
         target.synced = False
-        self.service.stats.replica_ship_failures += 1
+        self._count(replica_ship_failures=1)
         _log.warning(
             "replica %s behind on shard %s: %s",
             target.store.label, name, target.error,
@@ -286,7 +299,6 @@ class ReplicationManager:
         the primary's.  Prefix-extension when possible (ship the
         missing WAL suffix), snapshot-copy otherwise.  Raises
         ``OSError`` when either side's disk refuses."""
-        stats = self.service.stats
         primary = self.service.shard_store(name)
         primary_wal = primary.read_wal(name)
         primary_snap = primary.read_snapshot(name)
@@ -301,7 +313,7 @@ class ReplicationManager:
                 suffix = primary_wal[len(replica_wal):]
                 if suffix:
                     target.store.append(name, suffix)
-                    stats.replica_catchups += 1
+                    self._count(replica_catchups=1)
                 return
         # divergent (or past a truncation): snapshot-copy the chain
         if primary_snap is not None:
@@ -312,7 +324,7 @@ class ReplicationManager:
             except OSError:
                 pass
         target.store.overwrite_wal(name, primary_wal)
-        stats.replica_snapshot_copies += 1
+        self._count(replica_snapshot_copies=1)
 
     # -- promotion and rejoin ----------------------------------------------------
 
@@ -323,7 +335,7 @@ class ReplicationManager:
         the manager's in-memory acks are cold (restart failover).
         Raises :class:`NoPromotableReplicaError` when no registered
         replica has a readable chain."""
-        with self._lock:
+        with self._shard_lock(name):
             table = self._targets_for(name)
             if label is not None and label not in table:
                 raise NoPromotableReplicaError(name, f"no replica labeled {label!r}")
@@ -354,7 +366,7 @@ class ReplicationManager:
             return best
 
     def bump_epoch(self, name: str) -> int:
-        with self._lock:
+        with self._shard_lock(name):
             self.epochs[name] = self.epochs.get(name, 0) + 1
             return self.epochs[name]
 
@@ -362,7 +374,7 @@ class ReplicationManager:
         """Register (anti-entropy first) one store as a replica of one
         shard — the rejoin path.  Raises :class:`ReplicationError`
         when the store's disk refuses the catch-up."""
-        with self._lock:
+        with self._shard_lock(name):
             target = _Target(store)
             try:
                 self._sync_target(name, target)
@@ -380,7 +392,7 @@ class ReplicationManager:
     def retire(self, name: str) -> List[ShardStore]:
         """Forget a shard an evolution retired; returns the stores that
         were its targets, for the caller to clear."""
-        with self._lock:
+        with self._shard_lock(name):
             for table in (self._primary_frames, self._primary_offset, self.epochs):
                 table.pop(name, None)
             return [t.store for t in self._targets.pop(name, {}).values()]
@@ -391,7 +403,7 @@ class ReplicationManager:
         """Per-replica lag for one shard: frames behind the primary's
         cumulative count, seconds since the last ack, the acked
         replication ``(epoch, offset)``, and the last error."""
-        with self._lock:
+        with self._shard_lock(name):
             # read under the lock: a reader that waited out an
             # in-flight ship must not see that ship's ack in its future
             now = self.clock()

@@ -17,7 +17,7 @@ independence the sharding does:
 * **Group-commit batching, committed per shard.**  A worker drains its
   queue opportunistically (up to ``batch_limit`` requests), applies
   contiguous insert runs through :meth:`~repro.weak.durable.
-  DurableShardedService.apply_insert_many` — one fixpoint drive per
+  DurableShardedService.apply_insert_many` — one lock acquisition per
   touched shard — and then commits the batch's shards itself via
   :meth:`~repro.weak.durable.DurableShardedService.commit_shards`:
   one WAL write + ``fsync`` per dirty shard, in the worker's own
@@ -365,7 +365,7 @@ class WeakInstanceServer(WindowQueryAPI):
 
     def _process_batch(self, batch: List[_WriteRequest]) -> None:
         """Apply a drained batch in order: contiguous insert runs go
-        through the batched apply (one drive per shard), deletes apply
+        through the batched apply (one lock per shard), deletes apply
         singly.  On a durable service the worker then commits the
         batch's shards itself (one fsync per dirty shard, overlapping
         other workers' commits) — success futures resolve only after

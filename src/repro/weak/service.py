@@ -58,10 +58,10 @@ between "the backing state changed" and "serve a window".
 :class:`WeakInstanceService` wires one global :class:`LiveTableau` to
 one global :class:`~repro.core.maintenance.MaintenanceChecker`; the
 independence-aware sharded service
-(:class:`repro.weak.sharded.ShardedWeakInstanceService`) reuses the
-same seam per scheme (one tiny :class:`LiveTableau` per shard, chased
-under the scheme's maintenance cover ``Hi``) and once more for its
-lazily-synced global composer.
+(:class:`repro.weak.sharded.ShardedWeakInstanceService`) reuses it once,
+for its lazily-synced global composer (its shards need no tableau: a
+validated relation of an independent schema is its own chase
+fixpoint).
 
 Validation semantics follow :func:`repro.weak.representative.window`:
 consistency means *a weak instance for the FDs exists*, decided by the
@@ -187,9 +187,7 @@ class LiveTableau:
     machinery serves
 
     * :class:`WeakInstanceService` — one instance over the global
-      checker state,
-    * each shard of the sharded service — a single-scheme schema chased
-      under the scheme's maintenance cover ``Hi``, and
+      checker state, and
     * the sharded service's global composer — rebuilt or journal-fed
       from the union of the shards.
 
@@ -524,9 +522,9 @@ class LiveTableau:
         the version-disciplined LRU cache (see the class docstring).
         Owners bump ``stats.window_queries``; this bumps the hit and
         eviction counters.  ``count_hits=False`` suppresses the hit
-        counter for *internal* consultations that are not themselves a
-        served query (the sharded merge path reads several shards per
-        query — counting each would let hits exceed queries).
+        counter for reads that are not a served window query (an
+        unfiltered query scan) — counting them would let hits exceed
+        window queries.
         """
         tableau = self.ensure()
         version = tableau.version
@@ -701,41 +699,6 @@ class WeakInstanceService(WindowQueryAPI):
     @property
     def method(self) -> Method:
         return self.checker.method
-
-    # the tuning knobs stay writable on a live service (they were plain
-    # attributes before the LiveTableau extraction); writes forward to
-    # the seam, which is what actually consults them
-    @property
-    def scoped_deletes(self) -> bool:
-        return self._live.scoped_deletes
-
-    @scoped_deletes.setter
-    def scoped_deletes(self, value: bool) -> None:
-        self._live.scoped_deletes = value
-
-    @property
-    def delete_rebuild_fraction(self) -> float:
-        return self._live.delete_rebuild_fraction
-
-    @delete_rebuild_fraction.setter
-    def delete_rebuild_fraction(self, value: float) -> None:
-        self._live.delete_rebuild_fraction = value
-
-    @property
-    def window_cache_limit(self) -> int:
-        return self._live.window_cache_limit
-
-    @window_cache_limit.setter
-    def window_cache_limit(self, value: int) -> None:
-        self._live.window_cache_limit = value
-
-    @property
-    def bulk_loads(self) -> bool:
-        return self._live.bulk_loads
-
-    @bulk_loads.setter
-    def bulk_loads(self, value: bool) -> None:
-        self._live.bulk_loads = value
 
     # -- compatibility views into the live-tableau seam --------------------------
 

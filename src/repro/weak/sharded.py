@@ -7,14 +7,14 @@ so a single-relation update is checkable against that relation alone.
 :class:`ShardedWeakInstanceService` turns the theorem into the serving
 architecture:
 
-* **One shard per relation scheme.**  Each :class:`_SchemeShard` owns
-  an ``_FDIndex``-backed local checker (a
+* **One shard per relation scheme, and a shard is its relation.**
+  Each :class:`_SchemeShard` owns an ``_FDIndex``-backed
   :class:`~repro.core.maintenance.MaintenanceChecker` over the
-  single-scheme restriction, O(1) per insert per cover FD) and its own
-  per-scheme :class:`~repro.weak.service.LiveTableau` chased only
-  under the scheme's maintenance cover ``Hi``.  An insert or delete
-  touches exactly one shard: no global chase, no global merge log, and
-  no cache invalidation outside the shard.
+  single-scheme restriction (O(1) per insert per cover FD).  Condition
+  (1) puts ``Hi`` inside ``Ri``, so a validated relation is its own
+  chase fixpoint: the shard serves windows straight from its rows.  An
+  insert or delete touches exactly one shard: no chase, no global
+  merge log, and no cache invalidation outside the shard.
 * **A window planner.**  A query over attributes ``X`` is answered
   from the shards alone when that is provably equivalent to the global
   chase: every scheme that *could* contribute an ``X``-total row — a
@@ -98,8 +98,8 @@ class ShardedServiceStats(ServiceStats):
     """Counters of :class:`ShardedWeakInstanceService`, extending the
     base service's (``as_dict`` enumerates dataclass fields, so these
     flow into the CLI ``stats`` op automatically).  The inherited
-    tableau-lifecycle counters aggregate over every live tableau the
-    service holds — all shards plus the composer."""
+    tableau-lifecycle counters count the global composer only — shards
+    hold no tableau; the window-cache counters cover every cache."""
 
     #: windows answered from shard projections alone (planner fast path)
     shard_windows: int = 0
@@ -196,34 +196,38 @@ SHARD_REPAIRING = "repairing"      # repair() is rebuilding it from disk
 _UNREADABLE = (SHARD_QUARANTINED, SHARD_REPAIRING)
 
 
+def _within(target: AttributeSet, universe: AttributeSet) -> AttributeSet:
+    """``target``, or :class:`SchemaError` when it leaves ``universe``."""
+    if not target <= universe:
+        raise SchemaError(
+            f"window attributes {target - universe} are outside the "
+            f"universe {universe}"
+        )
+    return target
+
+
 class _SchemeShard:
     """One relation scheme's maintenance, failure and availability unit.
 
-    Wraps the single-scheme restriction of the independence report: a
-    local ``MaintenanceChecker`` (``_FDIndex`` per cover FD) plus a
-    per-scheme :class:`LiveTableau` chased under ``Hi``.  Mutations
-    bump :attr:`version` and append to the journal the global composer
-    replays; beyond :data:`JOURNAL_LIMIT` pending entries the journal
-    collapses into a "composer must rebuild" flag, so an endless
-    update stream that never asks a global question holds O(1) memory
-    here.  Beside that: the write lock, status and last error, and the
-    durable part (store, WAL, void flag, session table, demoted store;
-    ``None`` on an in-memory service).
+    Wraps a local ``MaintenanceChecker`` (``_FDIndex`` per cover FD)
+    over the single-scheme restriction.  Its relation is its own chase
+    fixpoint, so windows over ``X ⊆ Ri`` are projections of the rows
+    (cached per :attr:`version`) and equality filters read a value
+    index built on first use.  Mutations bump :attr:`version` and
+    append to the journal the global composer replays; past
+    :data:`JOURNAL_LIMIT` entries it collapses into a "composer must
+    rebuild" flag, so a stream that never asks a global question holds
+    O(1) memory here.  Beside that: the write lock, status and last
+    error, and the durable part (store, WAL, void flag, session table,
+    demoted store; ``None`` on an in-memory service).
     """
 
     #: journal entries kept before collapsing into a full-resync flag
     JOURNAL_LIMIT = 32768
 
     __slots__ = (
-        "scheme",
-        "name",
-        "cover",
-        "checker",
-        "live",
-        "stats",
-        "version",
-        "_journal",
-        "_needs_resync",
+        "scheme", "name", "cover", "checker", "stats", "version",
+        "_journal", "_needs_resync", "_windows", "_value_index",
         "lock", "status", "error",
         "store", "wal", "void", "sessions", "demoted",
     )
@@ -234,22 +238,26 @@ class _SchemeShard:
         restriction: IndependenceReport,
         stats: ShardedServiceStats,
     ):
-        self.scheme = scheme
+        # the checker's scheme object (a memoized analysis may hand back
+        # an equal copy): every stored tuple shares its AttributeSet
+        self.scheme = restriction.schema[scheme.name]
         self.name = scheme.name
         self.cover: FDSet = restriction.fds
         self.checker = MaintenanceChecker(
             restriction.schema, self.cover, method="local", report=restriction
         )
         self.stats = stats
-        self.live = LiveTableau(
-            restriction.schema, self.cover, self.checker.state, stats
-        )
         self.version = 0
         self._journal: List[PyTuple[str, Tuple]] = []
         # starts True: the composer starts stale, so journaling before
         # its first build would only retain tuples a drain discards —
         # _sync_composer re-arms journaling once the composer is live
         self._needs_resync = True
+        # (version, target → window): windows of one version only
+        self._windows: PyTuple[int, Dict[AttributeSet, RelationInstance]] = (0, {})
+        # attribute → (column, value → stored tuples in insertion
+        # order), for the attributes a filter has bound so far
+        self._value_index: Dict[str, PyTuple[int, Dict[object, List[Tuple]]]] = {}
         self.lock = threading.RLock()
         self.status = SHARD_SERVING
         #: the last failure reason ("" while none is recorded)
@@ -271,10 +279,9 @@ class _SchemeShard:
         self.scheme = fresh.scheme
         self.cover = fresh.cover
         self.checker = fresh.checker
-        self.live = fresh.live
+        self._value_index = {}
         self.version += 1
-        self._needs_resync = True
-        self._journal.clear()
+        self.reset_journal()
 
     # -- journal ---------------------------------------------------------------
 
@@ -286,9 +293,13 @@ class _SchemeShard:
             return
         self._journal.append((op, t))
         if len(self._journal) > self.JOURNAL_LIMIT:
-            self._needs_resync = True
-            self._journal.clear()
+            self.reset_journal()
             self.stats.journal_overflows += 1
+
+    def reset_journal(self) -> None:
+        """Drop the pending ops: the composer rebuilds from state."""
+        self._needs_resync = True
+        self._journal.clear()
 
     def drain_journal(self) -> Optional[List[PyTuple[str, Tuple]]]:
         """Ops since the last drain, or ``None`` when replay is no
@@ -303,11 +314,9 @@ class _SchemeShard:
 
     # -- mutations -------------------------------------------------------------
 
-    def insert(self, row: RowLike, drive: bool = True) -> InsertOutcome:
+    def insert(self, row: RowLike) -> InsertOutcome:
         """Validate against the shard's ``Hi`` indexes and commit —
-        the Theorem 3 O(1) maintenance check.  ``drive=False`` defers
-        the shard fixpoint so a batch caller can run it once for many
-        appended rows (:meth:`ShardedWeakInstanceService.insert_many`)."""
+        the Theorem 3 O(1) check is all the work an insert does."""
         outcome = self.checker.insert(self.name, row)
         if not outcome.accepted:
             self.stats.inserts_rejected += 1
@@ -317,11 +326,10 @@ class _SchemeShard:
             self.stats.duplicate_inserts += 1
             return outcome
         self.version += 1
-        self._journal_op("+", outcome.tuple)
-        if self.live.live:
-            self.live.append(self.name, outcome.tuple)
-            if drive:
-                self.live.drive()
+        t = outcome.tuple
+        self._journal_op("+", t)
+        for col, buckets in self._value_index.values():
+            buckets.setdefault(t.values[col], []).append(t)
         return outcome
 
     def delete(self, row: RowLike) -> bool:
@@ -331,22 +339,25 @@ class _SchemeShard:
         self.stats.deletes += 1
         self.version += 1
         self._journal_op("-", t)
-        self.live.retract(self.name, t)
+        for col, buckets in self._value_index.values():
+            bucket = buckets[t.values[col]]
+            bucket.remove(t)
+            if not bucket:
+                del buckets[t.values[col]]
         return True
 
-    def load_fresh(self, fresh: Sequence[Tuple]) -> None:
-        """Atomically load pre-deduplicated, not-yet-present tuples
-        (the shard checker validates them against its indexes)."""
-        if not fresh:
-            return
-        self.checker.load(
-            DatabaseState(self.checker.schema, {self.name: list(fresh)})
-        )
-        self.version += 1
-        self.live.invalidate()
-        # bulk loads skip the journal: the composer rebuilds instead
-        self._needs_resync = True
-        self._journal.clear()
+    def load_fresh(self, rows: Sequence[RowLike]) -> List[Tuple]:
+        """Atomically validate and load ``rows`` (present ones are
+        skipped); returns the tuples added."""
+        fresh = self.checker.load(
+            DatabaseState(self.checker.schema, {self.name: list(rows)})
+        )[self.name]
+        if fresh:
+            self.version += 1
+            self._value_index = {}
+            # bulk loads skip the journal: the composer rebuilds instead
+            self.reset_journal()
+        return fresh
 
     def rollback_fresh(self, fresh: Sequence[Tuple]) -> None:
         """Undo a committed :meth:`load_fresh` (multi-shard load
@@ -355,12 +366,75 @@ class _SchemeShard:
         for t in fresh:
             self.checker.delete(self.name, t)
         self.version += 1
-        self.live.invalidate()
+        self._value_index = {}
 
     # -- reads -----------------------------------------------------------------
 
     def relation(self) -> RelationInstance:
         return self.checker.state()[self.name]
+
+    def _project(
+        self, target: AttributeSet, rows: Iterable[Tuple]
+    ) -> RelationInstance:
+        """``π_target`` of ``rows`` (stored tuples, so every value is a
+        constant), deduplicated in first-appearance order."""
+        if target == self.scheme.attributes:
+            # the stored tuples already are the facts, and distinct
+            return RelationInstance(target, rows)
+        cols = [self.scheme.attributes.names.index(a) for a in target]
+        # dedup the value tuples before any Tuple is built for them
+        return RelationInstance(
+            target, dict.fromkeys(tuple(t.values[c] for c in cols) for t in rows)
+        )
+
+    def window(
+        self, target: AttributeSet, count_hits: bool = True
+    ) -> RelationInstance:
+        """``π_target`` of the relation (``target ⊆ Ri``), cached for
+        the current :attr:`version`; ``count_hits=False`` keeps internal
+        reads (a merged window reads several shards) out of
+        ``window_cache_hits``."""
+        version, cache = self._windows
+        if version != self.version:  # an update superseded every entry
+            cache = {}
+            self._windows = (self.version, cache)
+        facts = cache.get(target)
+        if facts is not None:
+            if count_hits:
+                self.stats.window_cache_hits += 1
+            return facts
+        facts = cache[target] = self._project(target, self.checker.rows(self.name))
+        if len(cache) > ShardedWeakInstanceService.WINDOW_CACHE_LIMIT:
+            cache.pop(next(iter(cache)))
+            self.stats.window_cache_evictions += 1
+        return facts
+
+    def filtered_window(
+        self, target: AttributeSet, bindings: Sequence[PyTuple[str, object]]
+    ) -> RelationInstance:
+        """:meth:`window` restricted to rows matching every
+        ``(attribute, value)`` binding, scanning the smallest bound
+        value bucket.  Not cached — the query engine's result cache
+        owns that."""
+        if not bindings:
+            return self.window(target, count_hits=False)
+        names = self.scheme.attributes.names
+        checks = [(names.index(attr), value) for attr, value in bindings]
+        rows = min((self._bucket(attr, value) for attr, value in bindings), key=len)
+        return self._project(target, [
+            t for t in rows if all(t.values[c] == v for c, v in checks)
+        ])
+
+    def _bucket(self, attr: str, value: object) -> List[Tuple]:
+        """The stored tuples holding ``value`` at ``attr``; the
+        attribute is indexed on its first binding."""
+        entry = self._value_index.get(attr)
+        if entry is None:
+            col = self.scheme.attributes.names.index(attr)
+            entry = self._value_index[attr] = (col, {})
+            for t in self.checker.rows(self.name):
+                entry[1].setdefault(t.values[col], []).append(t)
+        return entry[1].get(value, [])
 
 
 class ShardedWeakInstanceService(WindowQueryAPI):
@@ -376,8 +450,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     hands the report down).
     """
 
-    #: bound on the memoized window plans and merged multi-shard
-    #: windows (FIFO / LRU respectively)
+    #: FIFO bound on the memoized window plans, the merged multi-shard
+    #: windows and each shard's cached windows
     WINDOW_CACHE_LIMIT = LiveTableau.DEFAULT_WINDOW_CACHE_LIMIT
 
     def __init__(
@@ -482,11 +556,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         shard = _SchemeShard(
             scheme, report.scheme_restriction(scheme.name), self.stats
         )
-        rows = list(rows)
-        if rows:
-            shard.checker.load(
-                DatabaseState(shard.checker.schema, {scheme.name: rows})
-            )
+        shard.load_fresh(list(rows))
         return shard
 
     def shard_lock(self, scheme_name: str) -> threading.RLock:
@@ -556,39 +626,27 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         """Load a base state shard by shard (atomic across shards: a
         rejected relation unwinds the already-committed ones, so a
         violating state changes nothing)."""
-        per_fresh: Dict[str, List[Tuple]] = {}
-        for scheme, relation in state:
-            shard = self._shard(scheme.name)
-            seen: set = set()
-            fresh: List[Tuple] = []
-            for t in relation:
-                if t in seen or shard.checker.contains(scheme.name, t):
-                    continue
-                seen.add(t)
-                fresh.append(t)
-            per_fresh[scheme.name] = fresh
-        committed: List[str] = []
+        committed: List[PyTuple[_SchemeShard, List[Tuple]]] = []
         try:
-            for name, fresh in per_fresh.items():
-                self._shards[name].load_fresh(fresh)
-                committed.append(name)
+            for scheme, relation in state:
+                shard = self._shard(scheme.name)
+                committed.append((shard, shard.load_fresh(relation.tuples)))
         except InconsistentStateError:
-            for name in committed:
-                self._shards[name].rollback_fresh(per_fresh[name])
+            for shard, fresh in committed:
+                shard.rollback_fresh(fresh)
             raise
         self._composer.invalidate()
         # with the composer stale, journaling is pure waste until the
         # next sync re-arms it (drain resets the flag)
         for shard in self._shards.values():
-            shard._needs_resync = True
-            shard._journal.clear()
+            shard.reset_journal()
 
     def reload_shard(self, scheme_name: str, rows: Iterable[RowLike]) -> None:
         """Replace one shard's state wholesale with ``rows`` — the
-        durable layer's repair and failover path.  A fresh checker and
-        tableau are built (the rows re-validated through the fresh
-        checker), so whatever in-memory state the old shard accumulated
-        before it was quarantined cannot leak into the repaired one;
+        durable layer's repair and failover path.  A fresh checker is
+        built (the rows re-validated through it), so whatever in-memory
+        state the old shard accumulated before it was quarantined
+        cannot leak into the repaired one;
         the shard record itself — lock, status, store — stays."""
         shard = self._shard(scheme_name)
         shard.adopt(self._build_shard(shard.scheme, self.report, rows))
@@ -626,8 +684,9 @@ class ShardedWeakInstanceService(WindowQueryAPI):
            report attached.
         2. **Scoped rebuild** — only shards that are structurally
            redefined, newly produced, or whose maintenance cover
-           changed are rebuilt (through the bulk chase kernel); every
-           other shard is *kept*, untouched and serving throughout.
+           changed are rebuilt (their rows re-validated through a
+           fresh checker); every other shard is *kept*, untouched and
+           serving throughout.
         3. **Migration journal** — writes accepted while a replacement
            is mid-build land on the still-serving old shard and in a
            per-shard migration journal (``during`` fires here: it is
@@ -822,8 +881,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     # a same-named rebuild keeps the record (lock,
                     # status, store): only its maintenance state swaps
                     shard.adopt(fresh[name])
-                shard._needs_resync = True
-                shard._journal.clear()
+                shard.reset_journal()
                 new_shards[name] = shard
             with self._status_lock:
                 self._shards = new_shards
@@ -949,22 +1007,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     def insert_many(
         self, ops: Iterable[PyTuple[str, RowLike]]
     ) -> List[InsertOutcome]:
-        """Insert a batch, driving each touched shard's fixpoint once
-        instead of once per insert (validation is per-tuple O(1)
-        either way)."""
-        outcomes: List[InsertOutcome] = []
-        touched: Dict[str, _SchemeShard] = {}
-        for scheme_name, row in ops:
-            shard = self._shard(scheme_name)
-            outcome = shard.insert(row, drive=False)
-            outcomes.append(outcome)
-            if outcome.accepted and not outcome.reason:
-                self._tap_op(scheme_name, "+", outcome.tuple)
-                touched[scheme_name] = shard
-        for shard in touched.values():
-            if shard.live.live:  # a stale tableau rebuilds when read
-                shard.live.drive()
-        return outcomes
+        """Insert a batch, one O(1) local check per tuple."""
+        return [self.insert(scheme_name, row) for scheme_name, row in ops]
 
     # -- the window planner ----------------------------------------------------
 
@@ -972,11 +1016,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         plan = self._plans.get(target)
         if plan is not None:
             return plan
-        if not target <= self.schema.universe:
-            raise SchemaError(
-                f"window attributes {target - self.schema.universe} are "
-                f"outside the universe {self.schema.universe}"
-            )
+        _within(target, self.schema.universe)
         direct = tuple(
             s.name for s in self.schema if target <= s.attributes
         )
@@ -1013,14 +1053,10 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         replaying their journals (or by scheduling a rebuild when a
         journal collapsed or the composer was never built)."""
         composer = self._composer
-        if not composer.live:
-            # nothing to replay into: drain (and discard) so the
-            # rebuild from state() does not see the ops twice
-            for shard in self._shards.values():
-                shard.drain_journal()
-            return
         pending: List[PyTuple[str, List[PyTuple[str, Tuple]]]] = []
-        rebuild = False
+        # a stale composer has nothing to replay into: every journal is
+        # still drained, so the rebuild from state() sees no op twice
+        rebuild = not composer.live
         for shard in self._shards.values():
             ops = shard.drain_journal()
             if ops is None:
@@ -1070,13 +1106,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         escape hatch, not the fast path)."""
         if version is not None and version != self.schema_version:
             view = self._epoch_view(version)
-            target = AttributeSet(attrset)
-            if not target <= view.schema.universe:
-                raise SchemaError(
-                    f"window attributes {target - view.schema.universe} are "
-                    f"outside version {version}'s universe "
-                    f"{view.schema.universe}"
-                )
+            target = _within(AttributeSet(attrset), view.schema.universe)
             self._check_available(self._shards)
             self.stats.window_queries += 1
             from repro.weak.representative import window as one_shot_window
@@ -1098,23 +1128,16 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         self._check_available(plan.direct)
         self.stats.shard_windows += 1
         if len(plan.direct) == 1:
-            return self._shards[plan.direct[0]].live.window(target)
+            return self._shards[plan.direct[0]].window(target)
         versions = tuple(self._shards[n].version for n in plan.direct)
         cached = self._merged_cache.get(target)
         if cached is not None and cached[0] == versions:
             self.stats.window_cache_hits += 1
-            # refresh LRU position, like LiveTableau's cache (insertion
-            # order doubles as LRU order)
-            del self._merged_cache[target]
-            self._merged_cache[target] = cached
             return cached[1]
-        seen: Dict[PyTuple[object, ...], Tuple] = {}
-        for name in plan.direct:
-            # internal consultation, not a served query: shard-cache
-            # hits here must not count (one query would score several)
-            for t in self._shards[name].live.window(target, count_hits=False):
-                seen.setdefault(tuple(t.value(a) for a in target), t)
-        merged = RelationInstance(target, list(seen.values()))
+        # the relation dedups the shards' union; shard-cache hits here
+        # are internal consultations, not served queries
+        parts = (self._shards[n].window(target, False) for n in plan.direct)
+        merged = RelationInstance(target, [t for part in parts for t in part])
         self._merged_cache[target] = (versions, merged)
         if len(self._merged_cache) > self.WINDOW_CACHE_LIMIT:
             self._merged_cache.pop(next(iter(self._merged_cache)))
@@ -1142,18 +1165,10 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         ``always_compose``, the benchmark baseline — the leaf reads
         the journal-synced global composer and the result's validity
         depends on *every* shard."""
-        if not always_compose:
-            plan = self._plan(target)
-            if plan.local:
-                self._check_available(plan.direct)
-                return ("shards", plan.direct)
-        else:
-            # surface the same universe check _plan would have run
-            if not target <= self.schema.universe:
-                raise SchemaError(
-                    f"window attributes {target - self.schema.universe} are "
-                    f"outside the universe {self.schema.universe}"
-                )
+        plan = self._plan(target)  # also the universe check
+        if plan.local and not always_compose:
+            self._check_available(plan.direct)
+            return ("shards", plan.direct)
         # composer answers depend on every shard
         self._check_available(self._shards)
         return ("composer", tuple(self._shards))
@@ -1174,14 +1189,11 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             return self._composer.filtered_window(target, bindings)
         self.stats.query_shard_scans += 1
         if len(shards) == 1:
-            return self._shards[shards[0]].live.filtered_window(target, bindings)
-        # several schemes store the target outright: dedup-union of the
-        # shard projections, exactly like the window() merge path
-        seen: Dict[PyTuple[object, ...], Tuple] = {}
-        for name in shards:
-            for t in self._shards[name].live.filtered_window(target, bindings):
-                seen.setdefault(tuple(t.value(a) for a in target), t)
-        return RelationInstance(target, list(seen.values()))
+            return self._shards[shards[0]].filtered_window(target, bindings)
+        # several schemes store the target outright: the relation
+        # dedups the union of the shard projections
+        parts = (self._shards[n].filtered_window(target, bindings) for n in shards)
+        return RelationInstance(target, [t for part in parts for t in part])
 
     def query(self, query, version: Optional[int] = None) -> RelationInstance:
         """Evaluate a relational query (see
@@ -1214,8 +1226,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
 
     @property
     def live(self) -> bool:
-        """Is the *global* tableau current?  (Shards maintain their own
-        tableaus; this mirrors the base service's notion.)"""
+        """Is the *global* tableau current?  (Shards hold no tableau;
+        this mirrors the base service's notion.)"""
         return self._composer.live
 
     def shard_names(self) -> PyTuple[str, ...]:

@@ -19,6 +19,7 @@ from repro.schema.evolution import parse_evolution_op
 from repro.weak.durable import (
     MIGRATION_CRASH_POINTS,
     DurableShardedService,
+    StoreIO,
     verify_store,
 )
 from repro.workloads.paper import example2
@@ -234,6 +235,64 @@ def test_split_retires_the_source_on_replica_stores_too(tmp_path, point):
         assert sorted(report["replicas"][str(replica)]["shards"]) == current
     finally:
         back.close()
+
+
+def test_verify_store_lists_retired_directories_until_reopen(tmp_path):
+    """A crash right after the commit point leaves the retired
+    source's directory on every store; ``verify_store`` names it as
+    crash residue (not damage) until a reopen sweeps it."""
+    root, replica = tmp_path / "d", tmp_path / "r"
+    run_evolution_until_crash(
+        SCHEMA, FDS, root, BASE, parse_evolution_op(SPLIT),
+        FaultInjector("evolve.manifest"), replicas=[replica],
+    )
+    report = verify_store(root, replicas=[replica])
+    assert report["ok"]
+    assert report["retired_dirs"] == ["CHR"]
+    assert report["replicas"][str(replica)]["retired_dirs"] == ["CHR"]
+    reopen(SCHEMA, FDS, root, replicas=[replica]).close()
+    report = verify_store(root, replicas=[replica])
+    assert report["ok"]
+    assert report["retired_dirs"] == []
+    assert report["replicas"][str(replica)]["retired_dirs"] == []
+
+
+class _RecordingIO(StoreIO):
+    """The real filesystem, with every manifest-relevant call logged."""
+
+    def __init__(self):
+        self.calls = []
+
+    def snapshot_write(self, path, payload):
+        super().snapshot_write(path, payload)
+        self.calls.append(("written+fsynced", path.name))
+
+    def replace(self, src, dst):
+        super().replace(src, dst)
+        self.calls.append(("replace", src.name, dst.name))
+
+    def dir_fsync(self, directory):
+        super().dir_fsync(directory)
+        self.calls.append(("dir_fsync", directory))
+
+
+def _assert_manifest_durable(calls, root):
+    """The tmp manifest's bytes were fsynced before the rename, and the
+    directory holding the rename was fsynced after it."""
+    replace = calls.index(("replace", "MANIFEST.json.tmp", "MANIFEST.json"))
+    assert ("written+fsynced", "MANIFEST.json.tmp") in calls[:replace]
+    assert ("dir_fsync", root) in calls[replace + 1:]
+
+
+def test_manifest_is_fsynced_at_first_open_and_at_evolve(tmp_path):
+    io = _RecordingIO()
+    root = tmp_path / "d"
+    with DurableShardedService(SCHEMA, FDS, root, io=io) as svc:
+        _assert_manifest_durable(io.calls, root)
+        svc.load(BASE)
+        io.calls.clear()
+        svc.evolve(parse_evolution_op(SPLIT))
+        _assert_manifest_durable(io.calls, root)
 
 
 def test_rejected_evolution_leaves_the_store_at_the_old_epoch(tmp_path):

@@ -326,6 +326,28 @@ class TestFDIndexAccounting:
         with pytest.raises(InstanceError):
             index.remove(Tuple(("A", "B"), (1, 9)))
 
+    def test_one_entry_per_key_survives_clone_and_strict_drain(self):
+        """Each key holds one ``(rhs, count)`` pair; a clone drains
+        independently, and strict mode still refuses a remove past
+        the count."""
+        from repro.core.maintenance import _FDIndex
+        from repro.deps.fd import FD
+        from repro.exceptions import InstanceError
+
+        index = _FDIndex(FD(("A",), ("B",)), strict=True)
+        t = Tuple(("A", "B", "C"), (1, 2, 3))
+        u = Tuple(("A", "B", "C"), (1, 2, 4))
+        index.add(t)
+        index.add(u)
+        assert index._map == {(1,): ((2,), 2)}
+        clone = index.clone()
+        clone.remove(t)
+        clone.remove(u)
+        assert not clone._map
+        assert index._map == {(1,): ((2,), 2)}
+        with pytest.raises(InstanceError):
+            clone.remove(t)  # the clone never stored it again
+
     def test_module_flag_sets_the_default(self, monkeypatch):
         import repro.core.maintenance as maintenance
         from repro.core.maintenance import _FDIndex

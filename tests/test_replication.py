@@ -13,8 +13,10 @@ property anti-entropy leans on.
 import errno
 import shutil
 import struct
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.strategies as st
 import pytest
@@ -71,6 +73,24 @@ class SlowIO(StoreIO):
         super().wal_write(handle, blob, path)
 
 
+class StallingIO(StoreIO):
+    """A replica disk whose WAL fsyncs for one shard block, once
+    ``armed``, until ``release`` is set; ``stalled`` fires when the
+    first one blocks."""
+
+    def __init__(self, shard):
+        self.shard = shard
+        self.armed = False
+        self.stalled = threading.Event()
+        self.release = threading.Event()
+
+    def wal_fsync(self, handle, path):
+        if self.armed and path.parent.name == self.shard:
+            self.stalled.set()
+            self.release.wait(10)
+        super().wal_fsync(handle, path)
+
+
 def chain_bytes(root, name):
     """(snapshot bytes or None, wal bytes) for one shard directory."""
     directory = root / "shards" / name
@@ -111,6 +131,79 @@ class TestShipping:
             assert snap is not None and wal == b""
             assert chain_bytes(tmp_path / "d", "R1") == (snap, b"")
             assert svc.stats.replica_snapshot_installs >= 1
+
+    def test_stalled_replica_shard_does_not_stall_another(self, tmp_path):
+        """Replica delivery is serialized per shard: while R1's ship
+        hangs in the replica's fsync, a commit on R2 ships and returns."""
+        schema, fds = disjoint_star_schema(2, satellites=1)
+        io = StallingIO("R1")
+        replica = ReplicaStore(tmp_path / "r", io=io, label="r")
+        with ReplicatedShardedService(
+            schema, fds, tmp_path / "d", replicas=[replica]
+        ) as svc:
+            io.armed = True
+            stuck = threading.Thread(target=svc.insert, args=("R1", (1, 10)))
+            stuck.start()
+            try:
+                assert io.stalled.wait(5)
+                done = threading.Event()
+
+                def write_r2():
+                    svc.insert("R2", (2, 20))
+                    done.set()
+
+                threading.Thread(target=write_r2, daemon=True).start()
+                finished = done.wait(1.0)
+            finally:
+                io.release.set()
+                stuck.join(5)
+            assert finished, "R2's commit waited for R1's stalled replica"
+            assert not stuck.is_alive()
+            # values in canonical attribute order (A1a, K1)
+            assert shard_rows(svc, "R1") == [(10, 1)]
+            assert shard_rows(svc, "R2") == [(20, 2)]
+            for name in ("R1", "R2"):
+                primary = chain_bytes(tmp_path / "d", name)
+                assert primary[1]  # the row's frame
+                assert chain_bytes(tmp_path / "r", name) == primary
+            assert svc.stats.replica_frames_shipped == 2
+            assert svc.stats.replica_ship_failures == 0
+
+    def test_concurrent_shard_ships_keep_counters_exact(self, tmp_path):
+        """Shards ship concurrently under their own locks: with more
+        threads than cores and a short switch interval, the shared
+        ``replica_*`` counters lose no update and every replica chain
+        mirrors its primary."""
+        schema, fds = disjoint_star_schema(4, satellites=1)
+        roots = [tmp_path / "r1", tmp_path / "r2"]
+        rounds = 15
+
+        def work(svc, i):
+            for j in range(rounds):
+                svc.insert(f"R{i}", (j, i))
+                if j % 5 == 4:
+                    svc.snapshot(f"R{i}")
+
+        with ReplicatedShardedService(
+            schema, fds, tmp_path / "d", replicas=roots
+        ) as svc:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(work, svc, i) for i in (1, 2, 3, 4)]
+                    for future in futures:
+                        future.result(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            stats = svc.stats
+            assert stats.replica_frames_shipped == 4 * rounds * len(roots)
+            assert stats.replica_snapshot_installs == 4 * 3 * len(roots)
+            assert stats.replica_ship_failures == 0
+            for i in (1, 2, 3, 4):
+                primary = chain_bytes(tmp_path / "d", f"R{i}")
+                for root in roots:
+                    assert chain_bytes(root, f"R{i}") == primary
 
     def test_replica_fault_never_fails_the_primary(self, tmp_path, chain2):
         schema, fds = chain2

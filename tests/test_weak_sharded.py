@@ -23,6 +23,8 @@ from repro.exceptions import (
     NotIndependentError,
     SchemaError,
 )
+from repro.query import evaluate_naive, parse_query
+from repro.schema.attributes import AttributeSet
 from repro.schema.database import DatabaseSchema
 from repro.weak.representative import window
 from repro.weak.service import ServiceStats, WeakInstanceService
@@ -289,26 +291,37 @@ class TestShardLocality:
         assert service.stats.duplicate_inserts == 1
         assert service.total_tuples() == 1
 
-    def test_insert_many_batches_shard_drives(self):
-        schema, F = disjoint_star_schema(2, satellites=1)
-        service = ShardedWeakInstanceService(schema, F)
+    def test_shard_traffic_does_no_chase_work(self):
+        """A shard is its relation: inserts (one rejected), deletes, a
+        batch, local windows and filtered scans never build, drive or
+        retract a tableau — every chase counter stays 0."""
+        schema, F = disjoint_star_schema(2, satellites=2)
+        base = random_satisfying_state(schema, F, 20, seed=4, domain_size=50)
+        service = ShardedWeakInstanceService.from_state(base, F)
         r1 = schema.schemes[0].attributes
-        service.window(r1)  # shard-local: builds R1's tableau
-        assert service.stats.shard_windows == 1
-        chases = service.stats.incremental_chases
+        key, sat = r1.names[0], r1.names[1]
+        service.window(r1)
+        assert service.insert("R1", (900, 1, 2)).accepted
+        assert not service.insert("R1", (900, 9, 2)).accepted  # K1 -> A1a
+        victim = base["R2"].tuples[0]
+        assert service.delete("R2", victim)
         outcomes = service.insert_many(
-            [
-                ("R1", (1, 10)),
-                ("R1", (2, 20)),
-                ("R1", (1, 99)),  # violates K1 -> A1a
-                ("R2", (1, 30)),
-            ]
+            [("R1", (901, 1, 2)), ("R2", (902, 3, 4)), ("R1", (901, 7, 2))]
         )
-        assert [o.accepted for o in outcomes] == [True, True, False, True]
-        # one drive for shard R1's two appended rows (R2's tableau is
-        # still stale, so it contributes none)
-        assert service.stats.incremental_chases == chases + 1
-        assert service.window(r1) == scratch_window(service.state(), F, r1)
+        assert [o.accepted for o in outcomes] == [True, True, False]
+        service.window(r1)
+        service.window(AttributeSet([key, sat]))
+        got = service.query(f"select({sat}=1, [{key} {sat}])")
+        assert got == evaluate_naive(
+            parse_query(f"select({sat}=1, [{key} {sat}])"), service.state(), F
+        )
+        assert service.stats.query_shard_scans >= 1
+        assert service.stats.shard_windows == 3
+        for counter in (
+            "rebuilds", "incremental_chases", "bulk_loads", "scoped_rechases"
+        ):
+            assert getattr(service.stats, counter) == 0, counter
+        assert not service.live  # the composer was never built either
 
     def test_insert_then_delete_same_tuple_through_one_sync(self):
         """A +t/-t pair journaled between two global queries must
