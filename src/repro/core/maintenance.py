@@ -30,7 +30,9 @@ is one for ``p`` minus a tuple), so only insertions are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Literal, Optional, Sequence, Set, Tuple as PyTuple, Union
+from typing import (
+    Any, Dict, List, Literal, Optional, Sequence, Set, Tuple as PyTuple, Union,
+)
 
 from repro.chase.satisfaction import satisfies
 from repro.core.independence import IndependenceReport, analyze
