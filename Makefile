@@ -30,7 +30,7 @@ help:
 	@echo "  bench-weak-deletes-tiny - the delete benchmark at smoke scale (CI: equivalence only, no artifact)"
 	@echo "  bench-weak-local        - sharded local path vs global chase-method service; regenerates BENCH_weak.json"
 	@echo "  bench-weak-local-tiny   - the sharded benchmark at smoke scale (CI: equivalence only, no artifact)"
-	@echo "  bench-query             - shard-routed query engine vs always-compose baseline (gate: >=5x); regenerates BENCH_weak.json"
+	@echo "  bench-query             - shard-routed query engine vs one global live tableau (gate: >=5x); regenerates BENCH_weak.json"
 	@echo "  bench-query-tiny        - the query-layer benchmark at smoke scale (CI: equivalence only, no artifact)"
 	@echo "  bench-serve             - durable concurrent serving: worker-scaling throughput + 100k-row crash recovery; regenerates BENCH_serve.json"
 	@echo "  bench-serve-tiny        - the serving benchmark at smoke scale (CI: equivalence only, no artifact)"

@@ -111,7 +111,7 @@ def test_bulk_vs_indexed_large():
     """Column-major bulk kernel vs the indexed incremental engine on
     the cascade workload, measured **end to end** (tableau build +
     chase): that is what every routed from-scratch path — service cold
-    loads, rebuilds, composer resyncs, batch validation — actually
+    loads, rebuilds, one-shot representatives, batch validation — actually
     pays.  Each side uses its preferred build (row-major for the
     incremental engine, columnar ingest for the kernel), exactly like
     the production routing.

@@ -70,9 +70,10 @@ print()
 #
 # The same windows compose into relational queries: scans are windows,
 # selections push equality filters into the tableau's value indexes,
-# and the sharded service routes scheme-embedded scans to the scheme's
-# own shard (the composer is only consulted when the closure guard
-# says a window genuinely needs cross-scheme derivation).
+# and the sharded service answers each scan from the shards its window
+# plan reads: a scheme-embedded scan from the scheme's own shard, a
+# window that needs cross-scheme derivation by FD lookups into the
+# other shards' indexes.
 
 from repro.weak.sharded import ShardedWeakInstanceService
 

@@ -6,7 +6,7 @@ index maintenance on every merge, so that one inserted tuple costs the
 cascade it actually triggers.  All of that machinery is pure overhead
 on the paths that chase a **fresh** tableau to fixpoint and only then
 start serving: service cold loads, delete-fallback and compaction
-rebuilds, the sharded composer's journal-overflow resync, and
+rebuilds, one-shot representative instances, and
 ``MaintenanceChecker(method="chase")`` batch validation.  This module
 executes those chases **set-at-a-time**:
 

@@ -51,8 +51,8 @@ relational expression in the compact form of
 ``join(...)``, ``[attrs]``); result rows print in canonical attribute
 order, sorted and tab-separated, with the count on the summary line.
 ``explain`` runs an expression and prints the planner's routing
-(per-shard vs composer, pushed filters, cache traffic) instead of the
-rows.
+(the shards each scan's plan reads, pushed filters, cache traffic)
+instead of the rows.
 
 ``stats`` prints the service's operation counters (rebuilds, scoped
 delete rechases, cache hits/misses, affected-set sizes), so the
@@ -514,9 +514,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if isinstance(stats, ShardedServiceStats):
         summary += (
             f"; sharded: {stats.shard_windows} shard-local windows, "
-            f"{stats.global_windows} composed, "
-            f"{stats.composer_syncs} syncs "
-            f"({stats.composer_synced_ops} ops replayed)"
+            f"{stats.joined_windows} joined across shards"
         )
     if args.durable:
         summary += (

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import (
-    Any, Dict, List, Literal, Optional, Sequence, Set, Tuple as PyTuple, Union,
+    Any, Dict, KeysView, List, Literal, Optional, Set, Tuple as PyTuple, Union,
 )
 
 from repro.chase.satisfaction import satisfies
@@ -150,8 +150,9 @@ class MaintenanceChecker:
         self.schema = schema
         self.fds = as_fdset(fds)
         self.method: Method = method
-        self._tuples: Dict[str, List[Tuple]] = {s.name: [] for s in schema}
-        self._present: Dict[str, Set[Tuple]] = {s.name: set() for s in schema}
+        # per relation, its stored tuples as the keys of an
+        # insertion-ordered dict: O(1) membership, append and delete
+        self._tuples: Dict[str, Dict[Tuple, None]] = {s.name: {} for s in schema}
         self._indexes: Dict[str, List[_FDIndex]] = {s.name: [] for s in schema}
 
         if method == "local":
@@ -193,7 +194,7 @@ class MaintenanceChecker:
         """
         staged: Dict[str, List[Tuple]] = {}
         for scheme, relation in state:
-            present = self._present[scheme.name]
+            present = self._tuples[scheme.name]
             fresh: List[Tuple] = []
             seen: Set[Tuple] = set()
             for t in relation:
@@ -224,7 +225,7 @@ class MaintenanceChecker:
             combined = DatabaseState(
                 self.schema,
                 {
-                    name: self._tuples[name] + fresh
+                    name: [*self._tuples[name], *fresh]
                     for name, fresh in staged.items()
                 },
             )
@@ -235,8 +236,7 @@ class MaintenanceChecker:
                 )
 
         for name, fresh in staged.items():
-            self._tuples[name].extend(fresh)
-            self._present[name].update(fresh)
+            self._tuples[name].update(dict.fromkeys(fresh))
         return staged
 
     # -- queries ----------------------------------------------------------------
@@ -247,10 +247,19 @@ class MaintenanceChecker:
             self.schema, {name: list(ts) for name, ts in self._tuples.items()}
         )
 
-    def rows(self, scheme_name: str) -> Sequence[Tuple]:
-        """One relation's stored tuples in insertion order — the live
-        list, not a copy: read it, never mutate it."""
-        return self._tuples[scheme_name]
+    def rows(self, scheme_name: str) -> KeysView[Tuple]:
+        """One relation's stored tuples in insertion order — a live
+        view, not a copy: iterate it without building a snapshot, but
+        not across a mutation of the relation."""
+        return self._tuples[scheme_name].keys()
+
+    def fd_map(
+        self, scheme_name: str, pos: int
+    ) -> Dict[PyTuple[Any, ...], PyTuple[PyTuple[Any, ...], int]]:
+        """The live ``lhs values → (rhs values, count)`` map of the index
+        on the ``pos``-th FD of the relation's cover (local method) —
+        the lookup a window plan probes; read it, never mutate it."""
+        return self._indexes[scheme_name][pos]._map
 
     def total_tuples(self) -> int:
         return sum(len(ts) for ts in self._tuples.values())
@@ -313,7 +322,7 @@ class MaintenanceChecker:
 
     def contains(self, scheme_name: str, row: RowLike) -> bool:
         """Is the tuple currently stored in the relation?"""
-        return self._coerce(scheme_name, row) in self._present[scheme_name]
+        return self._coerce(scheme_name, row) in self._tuples[scheme_name]
 
     def insert(self, scheme_name: str, row: RowLike) -> InsertOutcome:
         """Check and, when valid, apply the insertion.
@@ -335,10 +344,10 @@ class MaintenanceChecker:
         through its own live chase).  Returns whether the state changed
         (False for a duplicate)."""
         t = self._coerce(scheme_name, row)
-        if t in self._present[scheme_name]:
+        stored = self._tuples[scheme_name]
+        if t in stored:
             return False
-        self._tuples[scheme_name].append(t)
-        self._present[scheme_name].add(t)
+        stored[t] = None
         for index in self._indexes[scheme_name]:
             index.add(t)
         return True
@@ -346,10 +355,10 @@ class MaintenanceChecker:
     def delete(self, scheme_name: str, row: RowLike) -> bool:
         """Deletions are always safe; returns whether the tuple existed."""
         t = self._coerce(scheme_name, row)
-        if t not in self._present[scheme_name]:
+        stored = self._tuples[scheme_name]
+        if t not in stored:
             return False
-        self._tuples[scheme_name].remove(t)
-        self._present[scheme_name].discard(t)
+        del stored[t]
         for index in self._indexes[scheme_name]:
             index.remove(t)
         return True

@@ -64,12 +64,19 @@ class RelationInstance:
                 )
         tuples: List[Tuple] = []
         seen = set()
+        # positional value tuples in the attribute set's natural order
+        # (projections, plan outputs) skip the per-row column mapping
+        natural = columns == attrset.names
         for row in rows:
-            t = _coerce_row(row, attrset, columns)
-            if t.attributes != attrset:
-                raise InstanceError(
-                    f"tuple over {t.attributes} does not fit relation over {attrset}"
-                )
+            if natural and type(row) is tuple:
+                t = Tuple(attrset, row)
+            else:
+                t = _coerce_row(row, attrset, columns)
+                if t.attributes != attrset:
+                    raise InstanceError(
+                        f"tuple over {t.attributes} does not fit relation "
+                        f"over {attrset}"
+                    )
             if t not in seen:
                 seen.add(t)
                 tuples.append(t)

@@ -8,8 +8,8 @@ service (``WeakInstanceService``, ``ShardedWeakInstanceService``, …)::
 The two caches have different keys and different lifetimes:
 
 * The **plan cache** is keyed by the *normalized* AST.  Routing depends
-  only on the schema (the closure guard is a static property of the
-  scheme closures), so within one schema epoch a plan never goes
+  only on the schema (a window plan is a static function of the scheme
+  closures and covers), so within one schema epoch a plan never goes
   stale — the cache is a plain LRU.
 * The **result cache** is keyed by the normalized AST *plus* the
   version stamps of the plan's participating shards at execution time.
@@ -32,19 +32,15 @@ forever and behave exactly as before.
 
 The engine talks to services through three duck-typed hooks:
 
-``_query_route(target, always_compose)``
-    ``(route, shard_names)`` for one scan target — the routing
-    decision (``"shards"`` / ``"composer"`` / ``"tableau"``).
+``_query_route(target)``
+    ``(route, shard_names)`` for one scan target — ``"shards"`` with
+    the shards its window plan reads, or ``"tableau"``.
 ``_query_stamps(names)``
     the current version-stamp vector for a participant tuple.
 ``_query_scan(target, bindings, route, shards)``
     execute one leaf: the ``[target]``-window, restricted to the
     equality ``bindings`` via the tableau's per-attribute value
     indexes.
-
-``always_compose=True`` disables shard routing (every leaf goes
-through the global composer) — the benchmark baseline that
-:mod:`benchmarks.bench_query` measures the planner against.
 """
 
 from __future__ import annotations
@@ -119,12 +115,10 @@ class QueryEngine:
     def __init__(
         self,
         service,
-        always_compose: bool = False,
         plan_cache_size: int = PLAN_CACHE_SIZE,
         result_cache_size: int = RESULT_CACHE_SIZE,
     ):
         self.service = service
-        self.always_compose = bool(always_compose)
         # values carry the schema epoch they were computed under:
         # (epoch, plan) / (epoch, stamps, result)
         self._plan_cache: "OrderedDict[Query, PyTuple[int, PhysicalPlan]]" = (
@@ -167,10 +161,7 @@ class QueryEngine:
         cached = self._cached(self._plan_cache, norm, self._plan_cache_size)
         if cached is not None and cached[0] == epoch:
             return cached[1], True
-        physical = build_plan(
-            norm,
-            lambda target: self.service._query_route(target, self.always_compose),
-        )
+        physical = build_plan(norm, self.service._query_route)
         self._store(
             self._plan_cache, norm, (epoch, physical), self._plan_cache_size
         )
@@ -216,11 +207,9 @@ class QueryEngine:
             stats.query_result_cache_hits += 1
             result = cached[2]
         else:
+            # reads never move a stamp, so the vector read before
+            # execution is the one the result belongs to
             result = self._execute(physical.root)
-            # a leaf execution may have advanced a stamp (first composer
-            # sync, lazy shard load) — record the post-execution vector
-            # so the *next* identical query hits.
-            stamps = tuple(self.service._query_stamps(physical.participants))
             self._store(
                 self._result_cache,
                 physical.normalized,

@@ -22,10 +22,9 @@ The pipeline is ``AST → normalize → route → physical plan``:
    carrying the scan target, the equality bindings the executor pushes
    into the tableau's per-attribute value indexes, the residual
    (non-equality) filter, and the routing decision the service made for
-   that target — ``shards`` when the PR 4 closure guard proves the
-   window is answerable from per-scheme shards alone, ``composer``
-   when the query genuinely crosses schemes, ``tableau`` on the
-   unsharded service.
+   that target — ``shards`` on the sharded service, naming the shards
+   the target's window plan reads, ``tableau`` on the unsharded
+   service.
 
 The physical plan records the sorted union of participating shard
 names; together with the per-shard version stamps it forms the
@@ -176,8 +175,8 @@ class LeafPlan:
     full window; ``residual`` is whatever predicate remains (orderings,
     ``!=``, or an equality contradicting a binding on the same
     attribute, which correctly filters to empty).  ``route`` is
-    ``"shards"``, ``"composer"``, or ``"tableau"``; ``shards`` names
-    the shards this leaf reads (``("*",)`` on unsharded services).
+    ``"shards"`` or ``"tableau"``; ``shards`` names the shards this
+    leaf reads (``("*",)`` on unsharded services).
     """
 
     target: AttributeSet
@@ -225,10 +224,6 @@ class PhysicalPlan:
     leaves: PyTuple[LeafPlan, ...]
     participants: PyTuple[str, ...]
 
-    @property
-    def all_local(self) -> bool:
-        return all(leaf.route != "composer" for leaf in self.leaves)
-
 
 def _split_leaf(q: Query) -> PyTuple[Scan, PyTuple[PyTuple[str, Any], ...], Any]:
     """``(scan, bindings, residual)`` for a normalized leaf (a ``Scan``
@@ -252,8 +247,9 @@ def plan(q: Query, route_fn) -> PhysicalPlan:
     """Build the physical plan for a *normalized* tree.
 
     ``route_fn(target) -> (route, shard_names)`` is the service's
-    routing hook: it applies the closure guard (sharded services) or
-    pins everything to the one tableau (unsharded).
+    routing hook: it names the shards of the target's window plan
+    (sharded services) or pins everything to the one tableau
+    (unsharded).
     """
     leaves = []
 

@@ -40,10 +40,8 @@ whose atomicity a global log would have to protect.  Concretely:
   state into the sharded service in one atomic
   :meth:`~repro.weak.sharded.ShardedWeakInstanceService.load` — pure
   set arithmetic plus index builds, **no chase**: shards serve straight
-  from their relations, and the global composer is rebuilt lazily
-  through the column-major bulk kernel
-  (:func:`repro.chase.bulk.ingest_state`) when first queried.  The
-  recovered state is always, per shard, the state after some prefix
+  from their relations and FD indexes, cross-shard windows included.
+  The recovered state is always, per shard, the state after some prefix
   of that shard's operation history — at least every acknowledged
   (fsynced) operation, at most every applied one.  Cross-shard, the
   prefixes are independent; Theorem 3 is exactly the license for that
@@ -1340,9 +1338,8 @@ class DurableShardedService(WindowQueryAPI):
 
         Replay is pure set arithmetic on value tuples; the single
         :meth:`~repro.weak.sharded.ShardedWeakInstanceService.load`
-        that follows builds the shard indexes, and the composer's
-        tableau is rebuilt lazily by the bulk kernel when first
-        queried — the recovery path never chases.  A shard whose
+        that follows builds the shard indexes, which every window
+        reads — neither recovery nor serving ever chases.  A shard whose
         newest snapshot is corrupt falls back to the next good generation (logged and
         counted — acknowledged records may roll back, which beats the
         alternative of not opening at all); a shard with *no* good
@@ -1656,7 +1653,7 @@ class DurableShardedService(WindowQueryAPI):
         WAL before the cut, which the WAL's I/O lock orders after any
         in-flight commit; other shards are not involved."""
         shard = self._inner._shard(name)
-        rows = [list(t.values) for t in shard.relation()]
+        rows = [list(t.values) for t in shard.rows()]
         self._fault("snapshot.begin")
         payload = _snapshot_payload(
             name,
@@ -2248,10 +2245,6 @@ class DurableShardedService(WindowQueryAPI):
     @property
     def method(self) -> str:
         return self._inner.method
-
-    @property
-    def live(self) -> bool:
-        return self._inner.live
 
     @property
     def inner(self) -> ShardedWeakInstanceService:

@@ -28,11 +28,10 @@ independence the sharding does:
   throughput comes from under CPython.
 * **Snapshot-consistent reads keyed by version stamps.**  Reads run in
   the *calling* thread (they never queue behind writes) under the
-  planner's locking discipline: a scheme-local window takes only that
-  shard's lock; a composer window takes the global read lock plus
-  every shard lock in sorted order.  Each shard's monotone ``version``
-  stamp is the read token — a window computed under the locks is a
-  function of one version vector, never a torn mix
+  planner's locking discipline: a window takes the locks of the shards
+  its plan reads, in sorted order, and nothing else.  Each shard's
+  monotone ``version`` stamp is the read token — a window computed
+  under the locks is a function of one version vector, never a torn mix
   (:meth:`shard_versions` exposes the stamps for the stress tests).
   A client that saw its insert acknowledged is guaranteed to see it in
   a later read: the write is applied before the future resolves.
@@ -148,7 +147,6 @@ class WeakInstanceServer(WindowQueryAPI):
         )
         self._bind_shards()
         self._plan_lock = threading.Lock()
-        self._global_lock = threading.RLock()
         # unbounded: SimpleQueue (C-implemented, so the per-request
         # enqueue/drain cost stays small next to the fsync the batch
         # will pay); bounded: queue.Queue, whose maxsize is what makes
@@ -466,24 +464,17 @@ class WeakInstanceServer(WindowQueryAPI):
         self.reads_served += 1
         with self._plan_lock:
             plan = self._inner._plan(target)
-        if plan.local:
-            with ExitStack() as stack:
-                for name in sorted(plan.direct):
-                    stack.enter_context(self._locks[name])
-                return self._inner.window(target)
-        with self._global_lock:
-            with ExitStack() as stack:
-                for name in sorted(self._locks):
-                    stack.enter_context(self._locks[name])
-                return self._inner.window(target)
+        with ExitStack() as stack:
+            for name in plan.shards:
+                stack.enter_context(self._locks[name])
+            return self._inner.window(target)
 
     def query(self, query):
         """A relational query under the same locking discipline as
-        :meth:`window`, generalized to every scan leaf in the tree: if
-        the planner routes all leaves to shards, only the union of
-        their direct shards is locked; one composer leaf escalates to
-        the global read lock plus every shard lock.  Execution (and
-        the engine's caches) belong to the wrapped service."""
+        :meth:`window`, generalized to every scan leaf in the tree: the
+        union of the leaves' plan shards is locked, in sorted order.
+        Execution (and the engine's caches) belong to the wrapped
+        service."""
         return self._locked_query(query, explain=False)
 
     def explain(self, query):
@@ -499,26 +490,19 @@ class WeakInstanceServer(WindowQueryAPI):
         self.reads_served += 1
         targets = {s.attrs for s in q.scans()}
         with self._plan_lock:
-            plans = [self._inner._plan(t) for t in targets]
+            names = {n for t in targets for n in self._inner._plan(t).shards}
         run = self.service.explain if explain else self.service.query
-        if plans and all(p.local for p in plans):
-            with ExitStack() as stack:
-                for name in sorted({n for p in plans for n in p.direct}):
-                    stack.enter_context(self._locks[name])
-                return run(q)
-        with self._global_lock:
-            with ExitStack() as stack:
-                for name in sorted(self._locks):
-                    stack.enter_context(self._locks[name])
-                return run(q)
+        with ExitStack() as stack:
+            for name in sorted(names):
+                stack.enter_context(self._locks[name])
+            return run(q)
 
     def state(self):
         """A consistent cross-shard snapshot of the stored state."""
-        with self._global_lock:
-            with ExitStack() as stack:
-                for name in sorted(self._locks):
-                    stack.enter_context(self._locks[name])
-                return self._inner.state()
+        with ExitStack() as stack:
+            for name in sorted(self._locks):
+                stack.enter_context(self._locks[name])
+            return self._inner.state()
 
     def snapshot(self) -> None:
         """Force a snapshot of every shard (durable services only);
@@ -562,8 +546,8 @@ class WeakInstanceServer(WindowQueryAPI):
         re-check, scoped rebuild, mid-migration journal); the server's
         job is the *swap window*: after the optional ``during``
         callback runs (mid-migration writes — they land in the
-        journal), the calling thread takes the global read lock plus
-        every shard lock, so no worker batch or reader is mid-flight
+        journal), the calling thread takes every shard lock, in sorted
+        order, so no worker batch or reader is mid-flight
         while the journal replays and the catalog swaps (and, on a
         durable service, while the new epoch's snapshots are
         finalized — the shard locks are reentrant, so the finalize's
@@ -580,7 +564,6 @@ class WeakInstanceServer(WindowQueryAPI):
             def quiesce(service) -> None:
                 if during is not None:
                     during(service)
-                stack.enter_context(self._global_lock)
                 for name in sorted(self._locks):
                     stack.enter_context(self._locks[name])
 

@@ -56,12 +56,12 @@ All of that tableau lifecycle — build, incremental drive, scoped
 retraction, window caching — lives in :class:`LiveTableau`, the seam
 between "the backing state changed" and "serve a window".
 :class:`WeakInstanceService` wires one global :class:`LiveTableau` to
-one global :class:`~repro.core.maintenance.MaintenanceChecker`; the
+one global :class:`~repro.core.maintenance.MaintenanceChecker`.  The
 independence-aware sharded service
-(:class:`repro.weak.sharded.ShardedWeakInstanceService`) reuses it once,
-for its lazily-synced global composer (its shards need no tableau: a
-validated relation of an independent schema is its own chase
-fixpoint).
+(:class:`repro.weak.sharded.ShardedWeakInstanceService`) needs no
+tableau at all: a validated relation of an independent schema is its
+own chase fixpoint, and its cross-shard windows are lookup joins over
+the shards' FD indexes (:mod:`repro.weak.plans`).
 
 Validation semantics follow :func:`repro.weak.representative.window`:
 consistency means *a weak instance for the FDs exists*, decided by the
@@ -183,13 +183,9 @@ class LiveTableau:
     persistent :class:`~repro.chase.engine.IncrementalFDChaser`, the
     ``(scheme, tuple) → row`` locators deletes use, and the
     version-disciplined window cache.  The backing state itself is
-    abstracted as ``state_source`` (called on rebuild), so the same
-    machinery serves
-
-    * :class:`WeakInstanceService` — one instance over the global
-      checker state, and
-    * the sharded service's global composer — rebuilt or journal-fed
-      from the union of the shards.
+    abstracted as ``state_source`` (called on rebuild);
+    :class:`WeakInstanceService` holds one over its global checker
+    state.
 
     ``stats`` is shared with the owner: this class bumps the
     tableau-lifecycle counters (``rebuilds``, ``incremental_chases``,
@@ -627,7 +623,7 @@ class WindowQueryAPI:
     def explain(self, query):
         """Like :meth:`query`, but returns the
         :class:`repro.query.engine.QueryExplain` — routing per leaf
-        (shards vs composer), pushed filters, participants' version
+        (the shards each scan's plan reads), pushed filters, participants' version
         stamps, and cache traffic — with the result attached."""
         return self._query_engine().explain(query)
 
@@ -883,9 +879,7 @@ class WeakInstanceService(WindowQueryAPI):
 
     # -- query-engine hooks ------------------------------------------------------
 
-    def _query_route(
-        self, target: AttributeSet, always_compose: bool = False
-    ) -> PyTuple[str, PyTuple[str, ...]]:
+    def _query_route(self, target: AttributeSet) -> PyTuple[str, PyTuple[str, ...]]:
         """Every scan reads the one global tableau; the pseudo-shard
         name ``"*"`` is the single result-cache participant."""
         return ("tableau", ("*",))

@@ -15,29 +15,23 @@ architecture:
   chase fixpoint: the shard serves windows straight from its rows.  An
   insert or delete touches exactly one shard: no chase, no global
   merge log, and no cache invalidation outside the shard.
-* **A window planner.**  A query over attributes ``X`` is answered
-  from the shards alone when that is provably equivalent to the global
-  chase: every scheme that *could* contribute an ``X``-total row — a
-  row of ``rj`` only ever becomes total on attributes inside
-  ``cl_F(Rj)`` — must contain ``X`` outright, in which case its rows'
-  ``X``-projections are fixed constants and the global window is
-  exactly the deduplicated union of the direct shards' projections.
-  (The guard is necessary: in ``AB(A,B); CA(C,A); CB(C,B)`` with
-  ``C→A, C→B`` — an independent schema — the window over ``AB``
-  contains facts joined *through* ``C``, so ``X ⊆ Ri`` alone does not
-  license a local answer.)
-* **A lazily-synced global composer.**  Everything else goes through a
-  global :class:`~repro.weak.service.LiveTableau` over the full
-  schema, built lazily and kept current by replaying the shards'
-  operation journals (appends chase incrementally, deletes retract
-  provenance-scoped) — one batched fixpoint per sync instead of one
-  per insert.  Because every shard validated its own updates,
-  Theorem 3 guarantees the composed state is satisfying: the composer
-  never validates, it only derives.  When a journal overflows (or the
-  composer was never built), the resync is a from-scratch rebuild of
-  the union state — which runs on the column-major bulk chase kernel
-  (:mod:`repro.chase.bulk`), so even the worst-case resync pays the
-  set-at-a-time price.
+* **Windows as lookup joins over the shards.**  On an independent
+  schema every row of the chased representative instance is one stored
+  tuple extended through the embedded covers (Sagiv, JACM 1991), and
+  each extension step is a probe into an FD index a shard already
+  keeps.  The planner (:mod:`repro.weak.plans`) compiles a target
+  ``X``, once per schema version, into a union over the *starts* — the
+  schemes whose closure reaches ``X``; a row of no other scheme ever
+  becomes ``X``-total — each extended through the cover lookups that
+  reach ``X``, with starts whose rows other starts already produce
+  pruned away.  A start that stores ``X`` outright needs no lookup: it
+  is a projection of its rows.  (Storing ``X`` is not enough on its
+  own: in ``AB(A,B); CA(C,A); CB(C,B)`` with ``C→A, C→B`` — an
+  independent schema — the window over ``AB`` also holds facts joined
+  *through* ``C``, which the start ``CB`` derives by looking ``A`` up
+  in ``CA``.)  Plans run over shard state only — value buckets and FD
+  indexes — so only a plan's own shards can block an answer, and an
+  unfiltered result is cached under those shards' versions alone.
 * **One record per shard.**  A :class:`_SchemeShard` also holds the
   shard's lock, status and — on a durable service — store, WAL and
   session table; every layer reads shard state from it, and a rebuild
@@ -50,10 +44,10 @@ analysis report (Lemma 3 / Theorem 4 counterexample) attached — use
 
 Observationally the service is identical to
 ``WeakInstanceService(method="chase")`` and to rebuilding from scratch
-per query (the randomized oracle suite in
-``tests/test_weak_sharded.py`` pins all three against each other); the
-difference is the cost model: updates are O(local) and scheme-local
-windows never pay for other shards' traffic.
+per query (the randomized oracle suites in ``tests/test_weak_sharded.py``
+and ``tests/test_window_plans.py`` pin them against each other); the
+difference is the cost model: updates are O(local), no read chases
+anything, and a window never pays for shards outside its plan.
 """
 
 from __future__ import annotations
@@ -64,6 +58,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    KeysView,
     List,
     Optional,
     Sequence,
@@ -90,6 +85,9 @@ from repro.schema.attributes import AttributeSet, AttrsLike
 from repro.schema.database import DatabaseSchema
 from repro.schema.evolution import EvolutionOp
 from repro.schema.relation import RelationScheme
+from repro.weak.plans import WindowPlan, compile_plan, run_plan
+from repro.weak.representative import representative_instance
+from repro.weak.representative import window as one_shot_window
 from repro.weak.service import LiveTableau, ServiceStats, WindowQueryAPI
 
 
@@ -98,24 +96,20 @@ class ShardedServiceStats(ServiceStats):
     """Counters of :class:`ShardedWeakInstanceService`, extending the
     base service's (``as_dict`` enumerates dataclass fields, so these
     flow into the CLI ``stats`` op automatically).  The inherited
-    tableau-lifecycle counters count the global composer only — shards
-    hold no tableau; the window-cache counters cover every cache."""
+    tableau-lifecycle counters stay 0: the sharded service chases
+    nothing; the window-cache counters cover every cache."""
 
-    #: windows answered from shard projections alone (planner fast path)
+    #: windows answered by projecting shards that store the target
     shard_windows: int = 0
-    #: windows composed through the global tableau
-    global_windows: int = 0
-    #: composer catch-ups that replayed at least one journaled op
-    composer_syncs: int = 0
-    #: journaled ops replayed into the composer across all syncs
-    composer_synced_ops: int = 0
-    #: journals that outgrew their bound (the next sync rebuilds the
-    #: composer from state instead of replaying)
-    journal_overflows: int = 0
-    #: query leaf scans answered from direct shards (planner fast path)
+    #: windows answered by a plan that joins shards through lookups
+    joined_windows: int = 0
+    #: query leaf scans (every one runs its target's plan)
     query_shard_scans: int = 0
-    #: query leaf scans that had to sync and read the global composer
+    #: always 0 — there is no global composer any more; kept so readers
+    #: of composer shares and sync rates keep their keys
     query_composer_scans: int = 0
+    composer_syncs: int = 0
+    composer_synced_ops: int = 0
     #: schema evolutions applied (each bumps the schema epoch)
     evolutions_applied: int = 0
     #: schema evolutions refused (independence broken or data refuted)
@@ -130,16 +124,6 @@ class ShardedServiceStats(ServiceStats):
     migration_shards_kept: int = 0
     #: mid-migration ops replayed from migration journals onto fresh shards
     migration_journal_replays: int = 0
-
-
-@dataclass(frozen=True)
-class WindowPlan:
-    """The planner's (memoized) decision for one attribute target."""
-
-    #: answerable from the direct shards alone
-    local: bool
-    #: schemes whose attribute sets contain the target
-    direct: PyTuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -196,6 +180,22 @@ SHARD_REPAIRING = "repairing"      # repair() is rebuilding it from disk
 _UNREADABLE = (SHARD_QUARANTINED, SHARD_REPAIRING)
 
 
+def _fifo_put(cache: dict, key, value) -> bool:
+    """Store ``key`` and evict the oldest entry past
+    ``ShardedWeakInstanceService.WINDOW_CACHE_LIMIT`` (no LRU refresh
+    on hit); returns whether one was evicted.  Tolerates a concurrent
+    evictor: the server's readers of disjoint shards may share a cache,
+    and losing the race leaves the bound to the other thread."""
+    cache[key] = value
+    if len(cache) <= ShardedWeakInstanceService.WINDOW_CACHE_LIMIT:
+        return False
+    try:
+        cache.pop(next(iter(cache)), None)
+    except (StopIteration, RuntimeError):
+        return False
+    return True
+
+
 def _within(target: AttributeSet, universe: AttributeSet) -> AttributeSet:
     """``target``, or :class:`SchemaError` when it leaves ``universe``."""
     if not target <= universe:
@@ -211,23 +211,18 @@ class _SchemeShard:
 
     Wraps a local ``MaintenanceChecker`` (``_FDIndex`` per cover FD)
     over the single-scheme restriction.  Its relation is its own chase
-    fixpoint, so windows over ``X ⊆ Ri`` are projections of the rows
-    (cached per :attr:`version`) and equality filters read a value
-    index built on first use.  Mutations bump :attr:`version` and
-    append to the journal the global composer replays; past
-    :data:`JOURNAL_LIMIT` entries it collapses into a "composer must
-    rebuild" flag, so a stream that never asks a global question holds
-    O(1) memory here.  Beside that: the write lock, status and last
-    error, and the durable part (store, WAL, void flag, session table,
-    demoted store; ``None`` on an in-memory service).
+    fixpoint, so windows over ``X ⊆ Ri`` are projections of the rows;
+    window plans probe its FD indexes and the value index
+    :meth:`bucket` builds per attribute on first use.  Mutations bump
+    :attr:`version`, the stamp cached plan results are keyed on.
+    Beside that: the write lock, status and last error, and the
+    durable part (store, WAL, void flag, session table, demoted store;
+    ``None`` on an in-memory service).
     """
-
-    #: journal entries kept before collapsing into a full-resync flag
-    JOURNAL_LIMIT = 32768
 
     __slots__ = (
         "scheme", "name", "cover", "checker", "stats", "version",
-        "_journal", "_needs_resync", "_windows", "_value_index",
+        "_value_index",
         "lock", "status", "error",
         "store", "wal", "void", "sessions", "demoted",
     )
@@ -248,13 +243,7 @@ class _SchemeShard:
         )
         self.stats = stats
         self.version = 0
-        self._journal: List[PyTuple[str, Tuple]] = []
-        # starts True: the composer starts stale, so journaling before
-        # its first build would only retain tuples a drain discards —
-        # _sync_composer re-arms journaling once the composer is live
-        self._needs_resync = True
         # (version, target → window): windows of one version only
-        self._windows: PyTuple[int, Dict[AttributeSet, RelationInstance]] = (0, {})
         # attribute → (column, value → stored tuples in insertion
         # order), for the attributes a filter has bound so far
         self._value_index: Dict[str, PyTuple[int, Dict[object, List[Tuple]]]] = {}
@@ -281,36 +270,6 @@ class _SchemeShard:
         self.checker = fresh.checker
         self._value_index = {}
         self.version += 1
-        self.reset_journal()
-
-    # -- journal ---------------------------------------------------------------
-
-    def _journal_op(self, op: str, t: Tuple) -> None:
-        if self._needs_resync:
-            # the composer will rebuild from state anyway (stale,
-            # freshly loaded, or overflowed): journaling would retain
-            # tuples only for a drain to discard
-            return
-        self._journal.append((op, t))
-        if len(self._journal) > self.JOURNAL_LIMIT:
-            self.reset_journal()
-            self.stats.journal_overflows += 1
-
-    def reset_journal(self) -> None:
-        """Drop the pending ops: the composer rebuilds from state."""
-        self._needs_resync = True
-        self._journal.clear()
-
-    def drain_journal(self) -> Optional[List[PyTuple[str, Tuple]]]:
-        """Ops since the last drain, or ``None`` when replay is no
-        longer possible (overflow or load) and the composer must
-        rebuild from state."""
-        if self._needs_resync:
-            self._needs_resync = False
-            self._journal.clear()
-            return None
-        ops, self._journal = self._journal, []
-        return ops
 
     # -- mutations -------------------------------------------------------------
 
@@ -327,7 +286,6 @@ class _SchemeShard:
             return outcome
         self.version += 1
         t = outcome.tuple
-        self._journal_op("+", t)
         for col, buckets in self._value_index.values():
             buckets.setdefault(t.values[col], []).append(t)
         return outcome
@@ -338,7 +296,6 @@ class _SchemeShard:
             return False
         self.stats.deletes += 1
         self.version += 1
-        self._journal_op("-", t)
         for col, buckets in self._value_index.values():
             bucket = buckets[t.values[col]]
             bucket.remove(t)
@@ -355,8 +312,6 @@ class _SchemeShard:
         if fresh:
             self.version += 1
             self._value_index = {}
-            # bulk loads skip the journal: the composer rebuilds instead
-            self.reset_journal()
         return fresh
 
     def rollback_fresh(self, fresh: Sequence[Tuple]) -> None:
@@ -370,69 +325,44 @@ class _SchemeShard:
 
     # -- reads -----------------------------------------------------------------
 
-    def relation(self) -> RelationInstance:
-        return self.checker.state()[self.name]
+    def rows(self) -> KeysView[Tuple]:
+        """The stored tuples in insertion order (a live view)."""
+        return self.checker.rows(self.name)
 
-    def _project(
-        self, target: AttributeSet, rows: Iterable[Tuple]
+    def project(
+        self, target: AttributeSet, rows: Optional[Iterable[Tuple]] = None
     ) -> RelationInstance:
-        """``π_target`` of ``rows`` (stored tuples, so every value is a
-        constant), deduplicated in first-appearance order."""
+        """``π_target`` (``target ⊆ Ri``) of ``rows``, stored tuples of
+        this shard — by default all of them."""
+        rows = self.rows() if rows is None else rows
         if target == self.scheme.attributes:
             # the stored tuples already are the facts, and distinct
             return RelationInstance(target, rows)
         cols = [self.scheme.attributes.names.index(a) for a in target]
         # dedup the value tuples before any Tuple is built for them
-        return RelationInstance(
-            target, dict.fromkeys(tuple(t.values[c] for c in cols) for t in rows)
-        )
+        return RelationInstance(target, dict.fromkeys(
+            tuple([t.values[c] for c in cols]) for t in rows
+        ))
 
-    def window(
-        self, target: AttributeSet, count_hits: bool = True
-    ) -> RelationInstance:
-        """``π_target`` of the relation (``target ⊆ Ri``), cached for
-        the current :attr:`version`; ``count_hits=False`` keeps internal
-        reads (a merged window reads several shards) out of
-        ``window_cache_hits``."""
-        version, cache = self._windows
-        if version != self.version:  # an update superseded every entry
-            cache = {}
-            self._windows = (self.version, cache)
-        facts = cache.get(target)
-        if facts is not None:
-            if count_hits:
-                self.stats.window_cache_hits += 1
-            return facts
-        facts = cache[target] = self._project(target, self.checker.rows(self.name))
-        if len(cache) > ShardedWeakInstanceService.WINDOW_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-            self.stats.window_cache_evictions += 1
-        return facts
-
-    def filtered_window(
-        self, target: AttributeSet, bindings: Sequence[PyTuple[str, object]]
-    ) -> RelationInstance:
-        """:meth:`window` restricted to rows matching every
-        ``(attribute, value)`` binding, scanning the smallest bound
-        value bucket.  Not cached — the query engine's result cache
-        owns that."""
-        if not bindings:
-            return self.window(target, count_hits=False)
+    def matching(self, bindings: Sequence[PyTuple[str, object]]) -> List[Tuple]:
+        """The stored tuples holding every ``(attribute, value)`` of
+        ``bindings`` (attributes of the scheme), read from the smallest
+        bound value bucket."""
+        rows = min((self.bucket(a, v) for a, v in bindings), key=len)
+        if len(bindings) == 1:
+            return rows
         names = self.scheme.attributes.names
-        checks = [(names.index(attr), value) for attr, value in bindings]
-        rows = min((self._bucket(attr, value) for attr, value in bindings), key=len)
-        return self._project(target, [
-            t for t in rows if all(t.values[c] == v for c, v in checks)
-        ])
+        checks = [(names.index(a), v) for a, v in bindings]
+        return [t for t in rows if all(t.values[c] == v for c, v in checks)]
 
-    def _bucket(self, attr: str, value: object) -> List[Tuple]:
+    def bucket(self, attr: str, value: object) -> List[Tuple]:
         """The stored tuples holding ``value`` at ``attr``; the
         attribute is indexed on its first binding."""
         entry = self._value_index.get(attr)
         if entry is None:
             col = self.scheme.attributes.names.index(attr)
             entry = self._value_index[attr] = (col, {})
-            for t in self.checker.rows(self.name):
+            for t in self.rows():
                 entry[1].setdefault(t.values[col], []).append(t)
         return entry[1].get(value, [])
 
@@ -450,8 +380,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     hands the report down).
     """
 
-    #: FIFO bound on the memoized window plans, the merged multi-shard
-    #: windows and each shard's cached windows
+    #: FIFO bound on the memoized window plans and on their cached
+    #: unfiltered results
     WINDOW_CACHE_LIMIT = LiveTableau.DEFAULT_WINDOW_CACHE_LIMIT
 
     def __init__(
@@ -479,21 +409,16 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         self.report = report
         # a caller-supplied stats object lets wrappers substitute an
         # extended dataclass (the durable layer's WAL counters live in
-        # a ShardedServiceStats subclass) while every shard and the
-        # composer still share the one instance
+        # a ShardedServiceStats subclass) while every shard still
+        # shares the one instance
         self.stats = ShardedServiceStats() if stats is None else stats
         self._shards: Dict[str, _SchemeShard] = {
             scheme.name: self._build_shard(scheme, report) for scheme in schema
         }
-        self._composer = LiveTableau(schema, self.fds, self.state, self.stats)
-        #: cl_F(Ri) per scheme — the planner's reachability bound
-        self._closures: Dict[str, AttributeSet] = {
-            s.name: self.fds.closure(s.attributes) for s in schema
-        }
         self._plans: Dict[AttributeSet, WindowPlan] = {}
-        # merged multi-shard windows, keyed by target with the shard
-        # version vector they were computed at
-        self._merged_cache: Dict[
+        # unfiltered plan results, keyed by target with the version
+        # vector of the plan's shards they were computed at
+        self._results: Dict[
             AttributeSet, PyTuple[PyTuple[int, ...], RelationInstance]
         ] = {}
         # how many shards are quarantined or repairing: reads check
@@ -569,9 +494,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
 
     def set_status(self, scheme_name: str, status: str, error: str = "") -> str:
         """Move one shard to ``status`` (recording ``error``; serving
-        clears it) and return the previous status.  Reads that would
-        consult a quarantined or repairing shard — directly, or through
-        the composer, which joins facts across *all* shards — raise
+        clears it) and return the previous status.  Reads whose plan
+        reads a quarantined or repairing shard raise
         :class:`ShardQuarantinedError` instead of serving stale rows."""
         shard = self._shard(scheme_name)
         with self._status_lock:
@@ -635,11 +559,6 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             for shard, fresh in committed:
                 shard.rollback_fresh(fresh)
             raise
-        self._composer.invalidate()
-        # with the composer stale, journaling is pure waste until the
-        # next sync re-arms it (drain resets the flag)
-        for shard in self._shards.values():
-            shard.reset_journal()
 
     def reload_shard(self, scheme_name: str, rows: Iterable[RowLike]) -> None:
         """Replace one shard's state wholesale with ``rows`` — the
@@ -650,17 +569,13 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         the shard record itself — lock, status, store — stays."""
         shard = self._shard(scheme_name)
         shard.adopt(self._build_shard(shard.scheme, self.report, rows))
-        self._composer.invalidate()
-        self._merged_cache.clear()
 
     # -- schema evolution --------------------------------------------------------
 
     def _capture_rows(self, scheme_name: str) -> List[Dict[str, object]]:
-        attrs = self._shards[scheme_name].scheme.attributes.names
-        return [
-            {a: t.value(a) for a in attrs}
-            for t in self._shards[scheme_name].relation()
-        ]
+        shard = self._shards[scheme_name]
+        names = shard.scheme.attributes.names
+        return [dict(zip(names, t.values)) for t in shard.rows()]
 
     def evolve(
         self,
@@ -697,10 +612,9 @@ class ShardedWeakInstanceService(WindowQueryAPI):
            transform (a projection's support count is not tracked).
         4. **Commit** — ``pre_commit`` (the durable layer's schema-WAL
            + manifest write) runs last before the in-memory swap; then
-           the epoch bumps, planner/merged/query caches reset, the
-           composer rebuilds over the new schema, and the retired
-           epoch's changed relations are frozen for version-pinned
-           reads.
+           the epoch bumps, the plan, result and query caches reset,
+           and the retired epoch's changed relations are frozen for
+           version-pinned reads.
 
         ``hook`` receives ``evolve.begin`` / ``evolve.mid-rebuild`` /
         ``evolve.journal-replay`` (the durable layer threads its crash
@@ -792,7 +706,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     name,
                     migrated[name]
                     if name in migrated
-                    else list(self._shards[name].relation().tuples),
+                    else list(self._shards[name].rows()),
                 )
 
             if during is not None:
@@ -860,7 +774,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             # the old version from these rows; one that survives as it
             # was keeps serving the old version from the live shard
             frozen: Dict[str, List[Tuple]] = {
-                name: list(shard.relation().tuples)
+                name: list(shard.rows())
                 for name, shard in self._shards.items()
                 if name not in new_schema
                 or new_schema[name].attributes != shard.scheme.attributes
@@ -881,7 +795,6 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     # a same-named rebuild keeps the record (lock,
                     # status, store): only its maintenance state swaps
                     shard.adopt(fresh[name])
-                shard.reset_journal()
                 new_shards[name] = shard
             with self._status_lock:
                 self._shards = new_shards
@@ -892,14 +805,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             self.fds = new_fds
             self.report = new_report
             self.schema_version += 1
-            self._closures = {
-                s.name: new_fds.closure(s.attributes) for s in new_schema
-            }
             self._plans.clear()
-            self._merged_cache.clear()
-            self._composer = LiveTableau(
-                new_schema, new_fds, self.state, self.stats
-            )
+            self._results.clear()
             self.stats.evolutions_applied += 1
             self.stats.migration_shards_rebuilt += len(fresh)
             self.stats.migration_shards_kept += len(kept)
@@ -967,7 +874,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     live is not None
                     and live.scheme.attributes == scheme.attributes
                 ):
-                    found = list(live.relation().tuples)
+                    found = list(live.rows())
             if found is None:  # pragma: no cover - defensive
                 raise SchemaError(
                     f"schema version {version} is no longer fully "
@@ -1014,91 +921,45 @@ class ShardedWeakInstanceService(WindowQueryAPI):
 
     def _plan(self, target: AttributeSet) -> WindowPlan:
         plan = self._plans.get(target)
-        if plan is not None:
-            return plan
-        _within(target, self.schema.universe)
-        direct = tuple(
-            s.name for s in self.schema if target <= s.attributes
-        )
-        if direct:
-            direct_set = set(direct)
-            # sound iff no scheme can *derive* an X-total row it does
-            # not store outright: a row of rj only ever grounds
-            # attributes inside cl_F(Rj)
-            local = all(
-                s.name in direct_set or not target <= self._closures[s.name]
-                for s in self.schema
+        if plan is None:
+            _within(target, self.schema.universe)
+            plan = compile_plan(
+                target,
+                self.schema,
+                {name: shard.cover for name, shard in self._shards.items()},
             )
-        else:
-            local = False
-        plan = WindowPlan(local=local, direct=direct)
-        self._plans[target] = plan
-        if len(self._plans) > self.WINDOW_CACHE_LIMIT:
-            # FIFO bound (no LRU refresh on hit): plans are pure
-            # functions of the schema and cheap to recompute, so
-            # evicting a hot one costs one closure-subset pass.  The
-            # eviction tolerates a concurrent evictor (the server's
-            # shard-parallel readers may plan at once; losing the race
-            # just means the bound is enforced by the other thread).
-            try:
-                self._plans.pop(next(iter(self._plans)), None)
-            except (StopIteration, RuntimeError):
-                pass
+            # plans are pure functions of the schema: an evicted hot
+            # plan costs one recompile
+            _fifo_put(self._plans, target, plan)
         return plan
 
-    # -- the global composer ---------------------------------------------------
-
-    def _sync_composer(self) -> None:
-        """Bring the global tableau up to date with the shards by
-        replaying their journals (or by scheduling a rebuild when a
-        journal collapsed or the composer was never built)."""
-        composer = self._composer
-        pending: List[PyTuple[str, List[PyTuple[str, Tuple]]]] = []
-        # a stale composer has nothing to replay into: every journal is
-        # still drained, so the rebuild from state() sees no op twice
-        rebuild = not composer.live
-        for shard in self._shards.values():
-            ops = shard.drain_journal()
-            if ops is None:
-                rebuild = True
-            elif ops:
-                pending.append((shard.name, ops))
-        if rebuild:
-            # the caller's window()/representative() call rebuilds the
-            # composer (ensure) immediately after this returns, so the
-            # journals drain_journal just re-armed are genuinely useful
-            # for the next sync — do not disarm them here
-            composer.invalidate()
-            return
-        if not pending:
-            return
-        self.stats.composer_syncs += 1
-        appended = False
-        for name, ops in pending:
-            self.stats.composer_synced_ops += len(ops)
-            for op, t in ops:
-                if op == "+":
-                    composer.append(name, t)
-                    appended = True
-                else:
-                    composer.retract(name, t)
-        if appended and composer.live:
-            if not composer.drive():  # pragma: no cover - Theorem 3
-                # every replayed insert was locally validated, so the
-                # composed state is satisfying and the chase cannot
-                # contradict; reaching this means an engine bug
-                raise InconsistentStateError(
-                    "composer chase contradicted locally-validated shards"
-                )
+    def _plan_window(self, plan: WindowPlan, count_hits: bool) -> RelationInstance:
+        """The unfiltered window of ``plan``, cached under the versions
+        of the plan's own shards (a write elsewhere keeps it);
+        ``count_hits=False`` keeps a query leaf's read out of
+        ``window_cache_hits``."""
+        target = plan.target
+        versions = self._query_stamps(plan.shards)
+        cached = self._results.get(target)
+        if cached is not None and cached[0] == versions:
+            if count_hits:
+                self.stats.window_cache_hits += 1
+            return cached[1]
+        if len(plan.starts) == 1 and plan.local:
+            facts = self._shards[plan.starts[0].shard].project(target)
+        else:
+            facts = RelationInstance(target, run_plan(plan, self._shards))
+        if _fifo_put(self._results, target, (versions, facts)):
+            self.stats.window_cache_evictions += 1
+        return facts
 
     # -- queries ---------------------------------------------------------------
 
     def window(
         self, attrset: AttrsLike, version: Optional[int] = None
     ) -> RelationInstance:
-        """The derivable ``X``-facts of the current state — from the
-        direct shards alone when the planner proves that equivalent,
-        otherwise from the journal-synced global composer.
+        """The derivable ``X``-facts of the current state, from the
+        target's compiled plan over the shards.
 
         ``version`` pins the answer to a retained schema epoch: the
         window is derived one-shot from that epoch's state under its
@@ -1109,72 +970,38 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             target = _within(AttributeSet(attrset), view.schema.universe)
             self._check_available(self._shards)
             self.stats.window_queries += 1
-            from repro.weak.representative import window as one_shot_window
-
             return one_shot_window(self._epoch_state(version), view.fds, target)
-        target = AttributeSet(attrset)
-        self.stats.window_queries += 1
-        plan = self._plan(target)
-        if not plan.local:
-            # a composed answer joins facts through every shard, so any
-            # unavailable shard poisons it
-            self._check_available(self._shards)
-            self.stats.global_windows += 1
-            self._sync_composer()
-            return self._composer.window(target)
-        # local plan: only the direct shards matter — the closure guard
-        # proved no other shard can contribute, so quarantines elsewhere
+        plan = self._plan(AttributeSet(attrset))
+        # only the plan's shards can contribute: quarantines elsewhere
         # do not block this window
-        self._check_available(plan.direct)
-        self.stats.shard_windows += 1
-        if len(plan.direct) == 1:
-            return self._shards[plan.direct[0]].window(target)
-        versions = tuple(self._shards[n].version for n in plan.direct)
-        cached = self._merged_cache.get(target)
-        if cached is not None and cached[0] == versions:
-            self.stats.window_cache_hits += 1
-            return cached[1]
-        # the relation dedups the shards' union; shard-cache hits here
-        # are internal consultations, not served queries
-        parts = (self._shards[n].window(target, False) for n in plan.direct)
-        merged = RelationInstance(target, [t for part in parts for t in part])
-        self._merged_cache[target] = (versions, merged)
-        if len(self._merged_cache) > self.WINDOW_CACHE_LIMIT:
-            self._merged_cache.pop(next(iter(self._merged_cache)))
-            self.stats.window_cache_evictions += 1
-        return merged
+        self._check_available(plan.shards)
+        self.stats.window_queries += 1
+        if plan.local:
+            self.stats.shard_windows += 1
+        else:
+            self.stats.joined_windows += 1
+        return self._plan_window(plan, count_hits=True)
 
     def representative(self) -> ChaseTableau:
-        """The globally chased tableau ``I(p)`` (journal-synced first;
-        read-only, like the base service's).  Raises
+        """The chased tableau ``I(p)`` of the current state, built one
+        shot (nothing serves from it).  Raises
         :class:`ShardQuarantinedError` while any shard is out of
         service — the global tableau is only meaningful over all of
         them."""
         self._check_available(self._shards)
-        self._sync_composer()
-        return self._composer.ensure()
+        return representative_instance(self.state(), self.fds)
 
     # -- query-engine hooks ------------------------------------------------------
 
-    def _query_route(
-        self, target: AttributeSet, always_compose: bool = False
-    ) -> PyTuple[str, PyTuple[str, ...]]:
-        """Routing for one scan target: the PR 4 closure guard
-        (:meth:`_plan`) decides whether the ``[target]``-window is
-        answerable from the direct shards alone; otherwise — or under
-        ``always_compose``, the benchmark baseline — the leaf reads
-        the journal-synced global composer and the result's validity
-        depends on *every* shard."""
+    def _query_route(self, target: AttributeSet) -> PyTuple[str, PyTuple[str, ...]]:
+        """Every scan runs its target's plan; the result's validity
+        depends on the plan's shards only."""
         plan = self._plan(target)  # also the universe check
-        if plan.local and not always_compose:
-            self._check_available(plan.direct)
-            return ("shards", plan.direct)
-        # composer answers depend on every shard
-        self._check_available(self._shards)
-        return ("composer", tuple(self._shards))
+        self._check_available(plan.shards)
+        return ("shards", plan.shards)
 
     def _query_stamps(self, names: Sequence[str]) -> PyTuple[int, ...]:
-        return tuple(self._shards[n].version for n in names)
+        return tuple([self._shards[n].version for n in names])
 
     def _query_scan(
         self,
@@ -1183,17 +1010,14 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         route: str,
         shards: Sequence[str],
     ) -> RelationInstance:
-        if route == "composer":
-            self.stats.query_composer_scans += 1
-            self._sync_composer()
-            return self._composer.filtered_window(target, bindings)
         self.stats.query_shard_scans += 1
-        if len(shards) == 1:
-            return self._shards[shards[0]].filtered_window(target, bindings)
-        # several schemes store the target outright: the relation
-        # dedups the union of the shard projections
-        parts = (self._shards[n].filtered_window(target, bindings) for n in shards)
-        return RelationInstance(target, [t for part in parts for t in part])
+        plan = self._plan(target)
+        if not bindings:
+            return self._plan_window(plan, count_hits=False)
+        if len(plan.starts) == 1 and plan.local:
+            shard = self._shards[plan.starts[0].shard]
+            return shard.project(target, shard.matching(bindings))
+        return RelationInstance(target, run_plan(plan, self._shards, bindings))
 
     def query(self, query, version: Optional[int] = None) -> RelationInstance:
         """Evaluate a relational query (see
@@ -1215,20 +1039,11 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         """Immutable snapshot of the union of the shard states."""
         return DatabaseState(
             self.schema,
-            {
-                name: list(shard.relation().tuples)
-                for name, shard in self._shards.items()
-            },
+            {name: list(shard.rows()) for name, shard in self._shards.items()},
         )
 
     def total_tuples(self) -> int:
         return sum(s.checker.total_tuples() for s in self._shards.values())
-
-    @property
-    def live(self) -> bool:
-        """Is the *global* tableau current?  (Shards hold no tableau;
-        this mirrors the base service's notion.)"""
-        return self._composer.live
 
     def shard_names(self) -> PyTuple[str, ...]:
         return tuple(self._shards)
@@ -1236,5 +1051,5 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     def __repr__(self) -> str:
         return (
             f"ShardedWeakInstanceService<shards={len(self._shards)}, "
-            f"tuples={self.total_tuples()}, composer_live={self.live}>"
+            f"tuples={self.total_tuples()}>"
         )

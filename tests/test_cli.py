@@ -430,4 +430,4 @@ class TestServeLocalValidation:
         out = capsys.readouterr().out
         assert "sharded:" in out and "shard-local windows" in out
         # the stats op surfaces the sharded counters (as_dict fields)
-        assert "shard_windows" in out and "composer_syncs" in out
+        assert "shard_windows" in out and "joined_windows" in out

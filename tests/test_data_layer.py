@@ -85,6 +85,25 @@ class TestRelationInstance:
         r = RelationInstance("A", [(1,), (1,), (2,)])
         assert len(r) == 2
 
+    def test_natural_order_value_tuples_match_mapped_rows(self):
+        """Positional value tuples in the attribute set's natural order
+        take a fast path; the relation, its tuples and its columns are
+        the ones mapping rows give."""
+        a = attrs("B A C")  # natural order: A B C
+        rows = [(1, 2, 3), (4, 5, 6), (1, 2, 3)]
+        fast = RelationInstance(a, rows)
+        slow = RelationInstance(a, [dict(zip(a.names, row)) for row in rows])
+        assert fast == slow and hash(fast) == hash(slow)
+        assert fast.columns == slow.columns == ("A", "B", "C")
+        assert fast.tuples == slow.tuples
+        assert [hash(t) for t in fast] == [hash(t) for t in slow]
+        assert [t.value("A") for t in fast] == [1, 4]
+        # declared-order columns still read positional rows their way
+        declared = RelationInstance("B A C", [(2, 1, 3)])
+        assert declared.tuples == (fast.tuples[0],)
+        with pytest.raises(InstanceError):
+            RelationInstance(a, [(1, 2)])
+
     def test_project(self):
         r = RelationInstance("A B", [(1, 2), (1, 3)])
         assert len(r.project("A")) == 1

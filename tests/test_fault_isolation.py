@@ -45,14 +45,15 @@ from repro.weak.durable import (
     verify_store,
 )
 from repro.weak.server import WeakInstanceServer
-from repro.workloads.schemas import disjoint_star_schema
+from repro.schema.attributes import AttributeSet
+from repro.workloads.schemas import chain_schema, disjoint_star_schema
 from repro.workloads.states import embedded_query_pool
 
 from tests.harness.drivers import assert_observationally_equivalent
 from tests.harness.faults import FaultyIO
 
 #: pairwise-disjoint schemes — every scheme-local window is planner-local,
-#: so "routes around the sick shard" is testable without composer noise
+#: so "routes around the sick shard" is testable without lookup joins
 SCHEMA, FDS = disjoint_star_schema(3)
 QUERY_POOL = embedded_query_pool(SCHEMA)
 NAMES = tuple(s.name for s in SCHEMA)
@@ -167,20 +168,39 @@ class TestRetryAndQuarantine:
             svc.repair("R1")
             assert_agree(SHARD_SERVING)
 
-    def test_eio_quarantine_blocks_composer_paths_too(self, tmp_path):
-        """A composed answer joins facts through every shard, so it
-        must raise rather than silently exclude the sick one."""
+    def test_quarantine_blocks_exactly_the_plans_that_read_it(self, tmp_path):
+        """On a chain a window's plan reads its start shard plus the
+        shards it looks attributes up in: a quarantined R2 blocks every
+        window and query whose plan reads R2 — rather than silently
+        excluding it — and no other; the one-shot representative
+        instance needs every shard."""
+        schema, fds = chain_schema(3)
         io = FaultyIO()
-        with open_service(tmp_path / "d", io) as svc:
-            svc.insert("R2", row(2, 0))
-            io.fail("wal.fsync", errno.EIO, match="R1", times=None)
+        with DurableShardedService(
+            schema, fds, tmp_path / "d", io=io, io_backoff=0.0
+        ) as svc:
+            svc.insert("R1", ("a", "b"))
+            svc.insert("R2", ("b", "c"))
+            svc.insert("R3", ("c", "d"))
+            io.fail("wal.fsync", errno.EIO, match="R2", times=None)
             with pytest.raises(ShardQuarantinedError):
-                svc.insert("R1", row(1, 0))
+                svc.insert("R2", ("b2", "c2"))
+            assert svc.health()["shards"]["R2"] == SHARD_QUARANTINED
+            # [A2 A3] reads R2; [A1 A3], [A1 A4] and [A2 A4] look an
+            # attribute up in R2
+            for attrs in ("A2 A3", "A1 A3", "A1 A4", "A2 A4"):
+                assert "R2" in svc.inner._plan(AttributeSet(attrs)).shards
+                with pytest.raises(ShardQuarantinedError):
+                    svc.window(attrs)
+                with pytest.raises(ShardQuarantinedError):
+                    svc.query(f"select(A2='b', [{attrs}])" if "A2" in attrs
+                              else f"[{attrs}]")
+            # [A1 A2] and [A3 A4] read R1 and R3 alone
+            assert [tuple(t.values) for t in svc.window("A1 A2")] == [("a", "b")]
+            got = svc.query("select(A3='c', [A3 A4])")
+            assert [tuple(t.values) for t in got] == [("c", "d")]
             with pytest.raises(ShardQuarantinedError):
                 svc.representative()
-            # cross-scheme target -> composer plan -> blocked
-            with pytest.raises(ShardQuarantinedError):
-                svc.window(("K1", "K2"))
 
 
 FAULT_MATRIX = [

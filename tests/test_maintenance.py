@@ -102,6 +102,35 @@ class TestSetSemantics:
         checker.insert("CT", ("CS101", "Smith"))
         assert checker.contains("CT", ("CS101", "Smith"))
 
+    def test_delete_compares_a_bounded_number_of_tuples(self, monkeypatch):
+        """Deleting the newest row of a 10k-row relation is a hash
+        lookup, not a scan of the rows before it."""
+        schema, fds = chain_schema(1)
+        checker = MaintenanceChecker(schema, fds, method="local")
+        for i in range(10_000):
+            assert checker.insert("R1", (i, i)).accepted
+        calls = []
+        real_eq = Tuple.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return real_eq(self, other)
+
+        monkeypatch.setattr(Tuple, "__eq__", counting_eq)
+        assert checker.delete("R1", (9_999, 9_999))
+        assert len(calls) <= 4
+        assert checker.total_tuples() == 9_999
+
+    def test_rows_keep_insertion_order_across_delete_and_reinsert(self):
+        schema, fds = chain_schema(1)
+        checker = MaintenanceChecker(schema, fds, method="local")
+        for i in (3, 1, 2):
+            checker.insert("R1", (i, i))
+        assert checker.delete("R1", (1, 1))
+        checker.insert("R1", (1, 1))
+        assert [t.values for t in checker.rows("R1")] == [(3, 3), (2, 2), (1, 1)]
+        assert list(checker.state()["R1"].tuples) == list(checker.rows("R1"))
+
 
 class TestAtomicLoad:
     """``load`` validates into staging and commits all-or-nothing

@@ -355,11 +355,13 @@ class TestExplain:
         assert again.result_cache_hit and again.plan_cache_hit
         assert "result hit" in again.render()
 
-    def test_explain_shows_composer_route(self, scenario):
+    def test_explain_shows_the_plan_shards(self, scenario):
         svc = ShardedWeakInstanceService.from_state(scenario.state, scenario.fds)
         report = svc.explain("[C T]")
-        assert "via composer" in report.render()
-        assert set(report.participants) == set(svc.shard_names())
+        # CT stores the target; the other schemes' rows reach T through
+        # a lookup in CT, so pruning leaves CT alone
+        assert "via shards (CT)" in report.render()
+        assert report.participants == ("CT",)
 
     def test_explain_residual_filter(self, scenario):
         svc = WeakInstanceService.from_state(scenario.state, scenario.fds)

@@ -1,15 +1,15 @@
 """Planner routing and result-cache lifetime over the sharded service.
 
-Two schemas bracket the closure guard:
+Two schemas bracket the window plans:
 
 * the **disjoint star** (pairwise-disjoint schemes) — every
-  scheme-embedded query is provably local, so a whole randomized
-  stream of inserts, deletes, and queries must finish with the
-  composer never consulted, never synced, and never even *built*;
+  scheme-embedded target is a projection of its own shard, so a whole
+  randomized stream of inserts, deletes, and queries must finish with
+  no lookup join and no chase work at all;
 * the **AB/CA/CB guard case** (independent, but ``cl(CA) = cl(CB) =
-  {A,B,C}`` reaches every target) — no target is local, every scan
-  must go through the composer, and the answers must still include
-  the facts derived *through* C.
+  {A,B,C}`` reaches every target) — every plan reads all three shards,
+  and the answers must include the facts derived *through* C, which
+  the plans find by FD lookups across shards.
 
 Both run against the from-scratch chase + naive-algebra oracle
 (:func:`repro.query.naive.evaluate_naive`) on the service's current
@@ -23,14 +23,15 @@ import random
 import pytest
 
 from repro.deps.fdset import FDSet
-from repro.query import QueryEngine, evaluate_naive
+from repro.query import evaluate_naive
 from repro.schema.database import DatabaseSchema
+from repro.weak.service import WeakInstanceService
 from repro.weak.sharded import ShardedWeakInstanceService
 from repro.workloads.schemas import disjoint_star_schema
 from repro.workloads.states import random_satisfying_state
 
 # ---------------------------------------------------------------------------
-# the disjoint star: everything local, composer never touched
+# the disjoint star: every plan is local, nothing is ever chased
 
 
 def _star_query_pool(schema, rng, state):
@@ -87,13 +88,16 @@ def test_disjoint_star_stream_never_touches_the_composer(seed):
             queried += 1
     assert queried > 10
 
-    # the whole stream stayed on the shards: no composer scan, no
-    # journal replay, no composed window — and the composer tableau
-    # was never even built
-    assert svc.stats.query_composer_scans == 0
-    assert svc.stats.composer_syncs == 0
-    assert svc.stats.global_windows == 0
-    assert svc._composer._tableau is None
+    # the whole stream stayed on local plans, and nothing was chased:
+    # the sharded service keeps no tableau to build
+    assert svc.stats.joined_windows == 0
+    assert all(
+        svc._plan(leaf.target).local
+        for text in pool
+        for leaf in svc.explain(text).leaves
+    )
+    assert svc.stats.rebuilds == svc.stats.incremental_chases == 0
+    assert svc.stats.bulk_loads == 0
     assert svc.stats.query_shard_scans > 0
 
 
@@ -104,16 +108,16 @@ def test_scheme_embedded_queries_route_to_their_shard():
     report = svc.explain("select(K2=3, [K2 A2a A2b])")
     assert [leaf.route for leaf in report.leaves] == ["shards"]
     assert report.participants == ("R2",)
-    # a cross-scheme join of two local scans still never composes:
-    # both leaves are shard-routed and the hash join runs in the engine
+    # a cross-scheme join of two local scans: each leaf reads its own
+    # shard and the hash join runs in the engine
     report = svc.explain("join([K1 A1a], [K2 A2a])")
     assert all(leaf.route == "shards" for leaf in report.leaves)
     assert set(report.participants) == {"R1", "R2"}
-    assert svc.stats.query_composer_scans == 0
+    assert svc.stats.joined_windows == 0
 
 
 # ---------------------------------------------------------------------------
-# the AB/CA/CB guard case: independent, yet nothing is local
+# the AB/CA/CB guard case: independent, yet every plan joins shards
 
 
 GUARD_SCHEMA = DatabaseSchema.parse("AB(A,B); CA(C,A); CB(C,B)")
@@ -128,20 +132,24 @@ GUARD_QUERIES = [
 ]
 
 
-def test_guard_case_routes_everything_through_the_composer():
+def test_guard_case_plans_join_through_c():
     svc = ShardedWeakInstanceService(GUARD_SCHEMA, GUARD_FDS)
     svc.insert("AB", (1, 2))
     svc.insert("CA", (9, 5))
     svc.insert("CB", (9, 6))
     for text in GUARD_QUERIES:
         report = svc.explain(text)
-        assert all(
-            leaf.route == "composer" for leaf in report.leaves
-        ), text
-        assert set(report.participants) == {"AB", "CA", "CB"}
-    assert svc.stats.query_shard_scans == 0
-    # the composed answer includes the fact derived *through* C —
-    # the reason the guard must refuse the local fast path
+        assert all(leaf.route == "shards" for leaf in report.leaves), text
+    # [A B]: AB stores the target; of the starts CA and CB, whose rows
+    # each extend to the other's through C, pruning keeps one
+    plan = svc._plan(svc.schema.universe - ["C"])
+    assert [start.shard for start in plan.starts] == ["AB", "CB"]
+    assert [lk.shard for lk in plan.starts[1].lookups] == ["CA"]
+    assert svc.explain("[A B]").participants == ("AB", "CA", "CB")
+    # [C A]: CB's rows reach A only through CA, which stores the target
+    assert svc.explain("[C A]").participants == ("CA",)
+    # the answer includes the fact derived *through* C — the reason a
+    # shard storing the target is not enough on its own
     facts = {
         (t.value("A"), t.value("B")) for t in svc.query("[A B]")
     }
@@ -171,7 +179,7 @@ def test_guard_case_stream_matches_the_oracle(seed):
             got = svc.query(text)
             want = evaluate_naive(text, svc.state(), GUARD_FDS)
             assert got == want, f"seed={seed} step={step}: {text}"
-    assert svc.stats.query_shard_scans == 0
+    assert svc.stats.query_composer_scans == 0
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +226,7 @@ class TestResultCacheScope:
         first = svc.query(q)
         assert svc.query(q) == first
         assert svc.stats.query_result_cache_hits == 1
-        # every shard participates in a composer plan: a delete on any
+        # every shard participates in the [A B] plan: a delete on any
         # of them moves the stamp vector
         assert svc.delete("CB", (9, 6))
         after = svc.query(q)
@@ -227,19 +235,21 @@ class TestResultCacheScope:
 
 
 # ---------------------------------------------------------------------------
-# always-compose agrees (it is the benchmark baseline, so its answers
-# must be the routed answers — only slower)
+# the global chase service agrees (it is the benchmark baseline, so its
+# answers must be the routed answers — only slower)
 
 
-def test_always_compose_matches_routed_execution():
+def test_chase_service_matches_routed_execution():
     schema, fds = disjoint_star_schema(3, satellites=2)
     base = random_satisfying_state(schema, fds, 30, seed=3, domain_size=6)
     routed = ShardedWeakInstanceService.from_state(base, fds)
-    composed = ShardedWeakInstanceService.from_state(base, fds)
-    engine = QueryEngine(composed, always_compose=True)
+    chased = WeakInstanceService.from_state(base, fds, method="chase")
     rng = random.Random(3)
     for text in _star_query_pool(schema, rng, base):
-        assert engine.run(text) == routed.query(text), text
-    assert composed.stats.query_composer_scans > 0
-    assert composed.stats.query_shard_scans == 0
-    assert routed.stats.query_composer_scans == 0
+        assert chased.query(text) == routed.query(text), text
+    assert all(
+        leaf.route == "tableau"
+        for text in _star_query_pool(schema, rng, base)
+        for leaf in chased.explain(text).leaves
+    )
+    assert routed.stats.query_shard_scans > 0

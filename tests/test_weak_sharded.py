@@ -120,7 +120,7 @@ class TestRandomizedStreams:
         assert queried == 15
         # the pool is scheme-embedded and the schemes are disjoint:
         # every query must stay on the shard fast path
-        assert sharded.stats.global_windows == 0
+        assert sharded.stats.joined_windows == 0
         assert sharded.stats.shard_windows == 15
         assert sharded.stats.inserts_rejected > 0
 
@@ -164,7 +164,7 @@ class TestPlanner:
     def test_cross_scheme_derivation_goes_global(self):
         """X ⊆ Ri alone does not license a local answer: in this
         independent schema the AB-window contains a fact joined
-        *through* C, which only the global composer can see."""
+        *through* C, which only a lookup join across shards finds."""
         schema = DatabaseSchema.parse("AB(A,B); CA(C,A); CB(C,B)")
         F = FDSet.parse("C -> A; C -> B")
         service = ShardedWeakInstanceService(schema, F)
@@ -176,7 +176,7 @@ class TestPlanner:
         facts = service.window("A B")
         values = {tuple(t.value(a) for a in facts.attributes) for t in facts}
         assert values == {(1, 2), (5, 6)}  # (5, 6) is the derived fact
-        assert service.stats.global_windows == 1
+        assert service.stats.joined_windows == 1
         assert service.stats.shard_windows == 0
         assert facts == scratch_window(service.state(), F, "A B")
 
@@ -188,12 +188,15 @@ class TestPlanner:
         service = ShardedWeakInstanceService.from_state(base, F)
         facts = service.window("A1 A2")
         assert service.stats.shard_windows == 1
-        assert service.stats.global_windows == 0
+        assert service.stats.joined_windows == 0
         assert facts == scratch_window(service.state(), F, "A1 A2")
-        # ...but R2's own attributes are reachable from R1 via A2 → A3,
-        # so that target must compose globally
-        service.window("A2 A3")
-        assert service.stats.global_windows == 1
+        # R2's own attributes are reachable from R1 via A2 → A3, but
+        # every such R1 row looks A3 up in R2: pruning leaves R2 alone
+        assert service.window("A2 A3") == scratch_window(
+            service.state(), F, "A2 A3"
+        )
+        assert service.stats.shard_windows == 2
+        assert service.stats.joined_windows == 0
 
     def test_multi_scheme_direct_target_merges_shards(self):
         """A target embedded in several schemes (all of them direct)
@@ -262,15 +265,13 @@ class TestShardLocality:
         r1 = schema.schemes[0].attributes
         warm = service.window(r1)
         hits = service.stats.window_cache_hits
-        chases = service.stats.incremental_chases
         out = service.insert("R2", (10**6 + 1, 0, 0))
         assert out.accepted and out.method == "local"
         # R1's cached window survives a foreign-shard insert...
         assert service.window(r1) is warm
         assert service.stats.window_cache_hits == hits + 1
-        # ...and the global composer was never built, let alone chased
-        assert not service.live
-        assert service.stats.incremental_chases <= chases + 1  # R2's shard only
+        # ...and nothing was chased
+        assert service.stats.incremental_chases == 0
 
     def test_rejected_insert_touches_nothing(self):
         schema, F = star_schema(3)
@@ -321,51 +322,19 @@ class TestShardLocality:
             "rebuilds", "incremental_chases", "bulk_loads", "scoped_rechases"
         ):
             assert getattr(service.stats, counter) == 0, counter
-        assert not service.live  # the composer was never built either
 
     def test_insert_then_delete_same_tuple_through_one_sync(self):
-        """A +t/-t pair journaled between two global queries must
-        replay cleanly (the retract lands on a not-yet-chased row)."""
+        """A +t/-t pair between two cross-shard windows leaves the
+        answer as it was."""
         schema, F = chain_schema(3)
         base = random_satisfying_state(schema, F, 8, seed=5, domain_size=500)
         service = ShardedWeakInstanceService.from_state(base, F)
-        before = service.window(schema.universe)  # builds the composer
+        before = service.window(schema.universe)
         assert service.insert("R1", (901, 902)).accepted
         assert service.delete("R1", (901, 902))
         after = service.window(schema.universe)
         assert after == before
         assert after == scratch_window(service.state(), F, schema.universe)
-
-    def test_journal_overflow_forces_composer_rebuild(self, monkeypatch):
-        from repro.weak.sharded import _SchemeShard
-
-        monkeypatch.setattr(_SchemeShard, "JOURNAL_LIMIT", 3)
-        schema, F = disjoint_star_schema(2, satellites=1)
-        base = random_satisfying_state(schema, F, 5, seed=8, domain_size=10**6)
-        service = ShardedWeakInstanceService.from_state(base, F)
-        service.window(schema.universe)  # build the composer
-        rebuilds = service.stats.rebuilds
-        for i in range(5):  # > JOURNAL_LIMIT pending ops on one shard
-            assert service.insert("R1", (10**6 + i, i)).accepted
-        assert service.stats.journal_overflows == 1
-        got = service.window(schema.universe)
-        assert service.stats.rebuilds == rebuilds + 1  # rebuilt, not replayed
-        assert service.stats.composer_syncs == 0
-        assert got == scratch_window(service.state(), F, schema.universe)
-
-    def test_composer_sync_replays_batches(self):
-        schema, F = chain_schema(3)
-        base = random_satisfying_state(schema, F, 10, seed=6, domain_size=10**6)
-        service = ShardedWeakInstanceService.from_state(base, F)
-        service.window(schema.universe)  # build the composer
-        rebuilds = service.stats.rebuilds
-        for i in range(5):
-            assert service.insert("R1", (10**6 + 2 * i, 10**6 + 2 * i + 1)).accepted
-        got = service.window(schema.universe)
-        assert service.stats.composer_syncs == 1
-        assert service.stats.composer_synced_ops == 5
-        assert service.stats.rebuilds == rebuilds  # replayed, not rebuilt
-        assert got == scratch_window(service.state(), F, schema.universe)
 
 
 class TestLoad:
@@ -404,7 +373,7 @@ class TestLoad:
         )
         split = ShardedWeakInstanceService(schema, F)
         split.load(half_a)
-        split.window(schema.universe)  # interleaved query builds composer
+        split.window(schema.universe)  # interleaved query caches a result
         split.load(half_b)
         whole = ShardedWeakInstanceService.from_state(full, F)
         assert split.state() == whole.state()
@@ -471,4 +440,4 @@ class TestStatsContract:
         service.window(schema.schemes[0].attributes)
         d = service.stats.as_dict()
         assert d["shard_windows"] == 1
-        assert "composer_syncs" in d and "journal_overflows" in d
+        assert "joined_windows" in d and "composer_syncs" in d
