@@ -575,7 +575,10 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     def _capture_rows(self, scheme_name: str) -> List[Dict[str, object]]:
         shard = self._shards[scheme_name]
         names = shard.scheme.attributes.names
-        return [dict(zip(names, t.values)) for t in shard.rows()]
+        # the first capture runs before any shard lock is held, while
+        # writers may still mutate the shard: copy the live view in one
+        # step before iterating it
+        return [dict(zip(names, t.values)) for t in list(shard.rows())]
 
     def evolve(
         self,

@@ -24,6 +24,7 @@ from repro.data.states import DatabaseState
 from repro.exceptions import (
     DependencyError,
     EvolutionRejectedError,
+    InstanceError,
     ParseError,
     SchemaError,
 )
@@ -539,3 +540,69 @@ class TestServerEvolution:
                 for t in server.state()["R1"]
             }
             assert set(accepted) <= r1
+
+    def test_evolve_the_shard_a_concurrent_writer_mutates(self):
+        # the capture reads the source shard before any shard lock is
+        # held, while the workers keep inserting into and deleting from
+        # that very shard; a large shard and a short switch interval
+        # make the writes land mid-capture
+        import sys
+
+        schema, fds = disjoint_star_schema(2)
+        svc = ShardedWeakInstanceService(schema, fds)
+        base = ("K1", "A1a", "A1b")
+        svc.load(
+            DatabaseState(
+                schema,
+                {"R1": [dict(zip(base, (f"k{i}", "a", "b"))) for i in range(5000)]},
+            )
+        )
+        stop = threading.Event()
+        accepted = set()
+        errors = []
+
+        def writer():
+            i = 0
+            while not stop.is_set():
+                version = server.schema_version
+                # shaped for the epoch it is built in: added columns
+                # take the migration's default
+                row = {a: "" for a in svc.schema["R1"].attributes.names}
+                row.update(zip(base, (f"w{i}", f"a{i}", f"b{i}")))
+                key = tuple(row[a] for a in base)
+                try:
+                    if server.insert("R1", row).accepted:
+                        accepted.add(key)
+                    if i % 2 and server.delete("R1", row):
+                        accepted.discard(key)
+                except InstanceError as exc:
+                    # only a write built for an epoch that has since
+                    # been retired may be malformed
+                    if server.schema_version == version:
+                        errors.append(exc)
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
+                i += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WeakInstanceServer(svc, workers=2) as server:
+                thread = threading.Thread(target=writer)
+                thread.start()
+                try:
+                    for attr in ("X", "Y"):
+                        server.evolve(parse_evolution_op(f"add-attr R1 {attr}"))
+                finally:
+                    stop.set()
+                    thread.join()
+                assert server.schema_version == 2
+                r1 = {
+                    tuple(t.value(a) for a in base)
+                    for t in server.state()["R1"]
+                }
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert accepted <= r1
+        assert len(r1) == 5000 + len(accepted)

@@ -179,7 +179,10 @@ def test_guard_case_stream_matches_the_oracle(seed):
             got = svc.query(text)
             want = evaluate_naive(text, svc.state(), GUARD_FDS)
             assert got == want, f"seed={seed} step={step}: {text}"
-    assert svc.stats.query_composer_scans == 0
+    # every leaf ran its target's plan over the shards, and [A B]'s plan
+    # joins CB to CA rather than projecting AB alone
+    assert svc.stats.query_shard_scans > 0
+    assert not svc._plan(svc.schema.universe - ["C"]).local
 
 
 # ---------------------------------------------------------------------------
