@@ -19,7 +19,7 @@ help:
 	@echo "  test-fault              - durability suite: WAL/snapshot units, crash-point recovery matrix, I/O-fault isolation (quarantine/repair), server concurrency (includes slow stress tests)"
 	@echo "  test-evolution          - schema-evolution suite: op catalog, incremental re-check vs full analysis, online migration oracles, migration crash-point recovery matrix"
 	@echo "  test-replication        - replication suite: WAL shipping/anti-entropy units, exactly-once sessions, kill-and-failover matrix under concurrent load"
-	@echo "  loc                     - design-size measures: per-module line counts of src/repro/weak and the named parameters of each public service constructor"
+	@echo "  loc                     - design-size measures: per-module line counts of src/repro/weak and the named parameters of each public service constructor, then per-module line counts of src/repro/data and src/repro/query"
 	@echo "  perfbench-smoke         - 1 s perfbench run of each workload, untraced and traced (every run checks its own answers; fails on a nonzero exit)"
 	@echo "  bench                   - all benchmarks; regenerates BENCH_chase.json, BENCH_weak.json and benchmarks/results.txt"
 	@echo "  bench-all               - every bench suite, strictly one after another (single recipe, immune to -j)"
@@ -68,7 +68,8 @@ test-replication:
 # The two "quality of design" measures ROADMAP tracks: how many lines
 # src/repro/weak holds, module by module, and how many named knobs each
 # public service constructor takes (an alias of another class is listed
-# under its own name but counted once in the total).
+# under its own name but counted once in the total).  Then, with totals
+# of their own, the line counts of src/repro/data and src/repro/query.
 loc:
 	$(PYTHON) tools/loc.py
 

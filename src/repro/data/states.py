@@ -51,9 +51,8 @@ class DatabaseState:
                 )
         object.__setattr__(self, "_schema", schema)
         object.__setattr__(self, "_relations", rels)
-        object.__setattr__(
-            self, "_hash", hash((schema, tuple(rels[s.name] for s in schema)))
-        )
+        # hashed on first use: most states are only read
+        object.__setattr__(self, "_hash", None)
 
     # -- access ------------------------------------------------------------------
 
@@ -90,7 +89,11 @@ class DatabaseState:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self._schema, self.relations()))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- construction -------------------------------------------------------------
 

@@ -14,6 +14,30 @@ from repro.exceptions import InstanceError
 from repro.schema.attributes import AttributeSet, AttrsLike
 
 
+_new = object.__new__
+
+
+def ordered_values(
+    attrset: AttributeSet, values: Union[Mapping[str, Any], Sequence[Any]]
+) -> PyTuple[Any, ...]:
+    """``values`` — a mapping, or a sequence in natural order — as the
+    value tuple of a row over ``attrset``, checked to fit it."""
+    if isinstance(values, Mapping):
+        missing = [a for a in attrset if a not in values]
+        if missing:
+            raise InstanceError(f"tuple is missing values for {missing}")
+        extra = [a for a in values if a not in attrset]
+        if extra:
+            raise InstanceError(f"tuple has values for foreign attributes {extra}")
+        return tuple([values[a] for a in attrset])
+    seq = tuple(values)
+    if len(seq) != len(attrset):
+        raise InstanceError(
+            f"expected {len(attrset)} values for {attrset}, got {len(seq)}"
+        )
+    return seq
+
+
 class Tuple:
     """An immutable tuple over an attribute set."""
 
@@ -27,24 +51,21 @@ class Tuple:
             if isinstance(attributes, AttributeSet)
             else AttributeSet(attributes)
         )
-        if isinstance(values, Mapping):
-            missing = [a for a in attrset if a not in values]
-            if missing:
-                raise InstanceError(f"tuple is missing values for {missing}")
-            extra = [a for a in values if a not in attrset]
-            if extra:
-                raise InstanceError(f"tuple has values for foreign attributes {extra}")
-            ordered = tuple(values[a] for a in attrset)
-        else:
-            seq = tuple(values)
-            if len(seq) != len(attrset):
-                raise InstanceError(
-                    f"expected {len(attrset)} values for {attrset}, got {len(seq)}"
-                )
-            ordered = seq
+        ordered = ordered_values(attrset, values)
         object.__setattr__(self, "_attrs", attrset)
         object.__setattr__(self, "_values", ordered)
         object.__setattr__(self, "_hash", hash((attrset, ordered)))
+
+    @classmethod
+    def _trusted(cls, attrs: AttributeSet, values: PyTuple[Any, ...]) -> "Tuple":
+        """A tuple from values already checked to be ``attrs``' row in
+        natural order (a relation's stored rows): no coercion, no
+        re-validation."""
+        t = _new(cls)
+        t._attrs = attrs
+        t._values = values
+        t._hash = hash((attrs, values))
+        return t
 
     # -- access -------------------------------------------------------------------
 

@@ -339,10 +339,11 @@ class _SchemeShard:
             # the stored tuples already are the facts, and distinct
             return RelationInstance(target, rows)
         cols = [self.scheme.attributes.names.index(a) for a in target]
-        # dedup the value tuples before any Tuple is built for them
-        return RelationInstance(target, dict.fromkeys(
-            tuple([t.values[c] for c in cols]) for t in rows
-        ))
+        # value rows in natural order: the relation dedups them and
+        # builds no Tuple until its reader iterates
+        return RelationInstance(
+            target, [tuple([t.values[c] for c in cols]) for t in rows]
+        )
 
     def matching(self, bindings: Sequence[PyTuple[str, object]]) -> List[Tuple]:
         """The stored tuples holding every ``(attribute, value)`` of

@@ -17,11 +17,15 @@ invalidate.
 
 import itertools
 import random
+import sys
+import threading
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.independence import analyze
+from repro.data.tuples import Tuple
 from repro.deps.fdset import FDSet
 from repro.query import evaluate_naive, parse_query
 from repro.schema.attributes import AttributeSet
@@ -227,3 +231,85 @@ def test_cached_plan_result_survives_writes_outside_its_plan():
     assert again == window(service.state(), service.fds, target)
     service.query(q)
     assert service.stats.query_result_cache_hits == 1
+
+
+def _count_tuples(monkeypatch):
+    """Count every :class:`Tuple` built from here on, through the
+    public constructor or the relations' trusted one."""
+    built = []
+    real_init = Tuple.__init__
+    real_trusted = Tuple._trusted.__func__
+
+    def init(self, *args, **kwargs):
+        built.append(None)
+        real_init(self, *args, **kwargs)
+
+    def trusted(cls, attrs, values):
+        built.append(None)
+        return real_trusted(cls, attrs, values)
+
+    monkeypatch.setattr(Tuple, "__init__", init)
+    monkeypatch.setattr(Tuple, "_trusted", classmethod(trusted))
+    return built
+
+
+@pytest.mark.parametrize("text", [
+    "join([A1 A2], [A2 A4])",
+    "join(select(A2='v2-3', [A2 A3]), [A3 A6])",
+    "project(A2 A4, [A2 A3 A4])",
+])
+def test_query_answers_build_tuples_only_when_iterated(monkeypatch, text):
+    """Joins and projections run on value rows: answering builds no
+    :class:`Tuple`; the first iteration builds one per row, and later
+    ones hand out the same objects."""
+    service = _chain_service()
+    built = _count_tuples(monkeypatch)
+    answer = service.query(text)
+    assert built == [] and len(answer) > 0
+    first = list(answer)
+    assert len(built) == len(answer)
+    second = list(answer)
+    assert all(a is b for a, b in zip(first, second))
+    assert len(built) == len(answer)
+    assert {t.values for t in first} == {
+        t.values for t in evaluate_naive(text, service.state(), service.fds)
+    }
+
+
+def test_concurrent_first_iterations_see_equal_rows():
+    """Threads iterating one cached, not yet iterated answer at once
+    all see its rows, with no lock taken: a first iteration that races
+    another builds equal tuples, and either build is kept."""
+    service = _chain_service(chains=200)
+    text = "join([A1 A3], [A3 A5])"
+    answers = []
+    for _ in range(20):
+        service.insert("R1", (f"n{len(answers)}", "v2-0"))  # a fresh answer
+        answers.append(service.query(text))
+        assert service.query(text) is answers[-1]  # the cached object
+    want = sorted(t.values for t in evaluate_naive(text, service.state(), service.fds))
+    workers = 4  # more threads than cores
+    barrier = threading.Barrier(workers)
+    seen = {i: [] for i in range(workers)}
+
+    def read(slot):
+        for answer in answers:
+            barrier.wait(timeout=10)
+            seen[slot].append([t.values for t in answer])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k, answer in enumerate(answers):
+        rows = [t.values for t in answer]
+        assert all(seen[i][k] == rows for i in range(workers))
+        assert list(answer) == list(answer)
+    assert sorted(rows) == want
