@@ -255,8 +255,8 @@ class RelationInstance:
         )
 
     def natural_join(self, other: "RelationInstance") -> "RelationInstance":
-        """``r ⋈ s`` via hash join on the common attributes, built on
-        the smaller side; rows come out in ``r``'s order, each one's
+        """``r ⋈ s`` via hash join on the common attributes, with the
+        index built on ``s``; rows come out in ``r``'s order, each one's
         partners in ``s``'s order.  Distinct inputs give distinct
         outputs, so nothing is deduplicated."""
         left, right = self._attrs.names, other._attrs.names
@@ -275,23 +275,13 @@ class RelationInstance:
             )
         lkey = itemgetter(*[left.index(a) for a in common])
         rkey = itemgetter(*[right.index(a) for a in common])
-        index: Dict[Any, List[Any]] = {}
-        if len(rrows) <= len(lrows):
-            for r in rrows:
-                index.setdefault(rkey(r), []).append(r)
-            rows = [pick(l + r) for l in lrows for r in index.get(lkey(l), ())]
-        else:
-            for i, l in enumerate(lrows):
-                index.setdefault(lkey(l), []).append(i)
-            # per left position, its partners in right order
-            partners: Dict[int, List[PyTuple[Any, ...]]] = {}
-            for r in rrows:
-                for i in index.get(rkey(r), ()):
-                    partners.setdefault(i, []).append(r)
-            rows = [
-                pick(lrows[i] + r) for i in sorted(partners) for r in partners[i]
-            ]
-        return self._of(out_attrs, tuple(rows))
+        index: Dict[Any, List[PyTuple[Any, ...]]] = {}
+        for r in rrows:
+            index.setdefault(rkey(r), []).append(r)
+        return self._of(
+            out_attrs,
+            tuple([pick(l + r) for l in lrows for r in index.get(lkey(l), ())]),
+        )
 
     def __mul__(self, other: "RelationInstance") -> "RelationInstance":
         """The paper writes joins as ``r * s``."""
@@ -316,14 +306,19 @@ class RelationInstance:
 
     # -- dependency checks ------------------------------------------------------------
 
-    def satisfies_fd(self, f: FD) -> bool:
-        """Direct check that ``X → Y`` holds in this instance."""
+    def _fd_pickers(self, f: FD) -> PyTuple[Callable, Callable]:
+        """Pickers for the FD's lhs and effective rhs columns; an FD not
+        embedded in this relation is an error, rows or no rows."""
         if not f.attributes <= self._attrs:
             raise InstanceError(f"FD {f} is not embedded in relation over {self._attrs}")
-        if not f.effective_rhs:
-            return True
-        lhs = _picker(self._positions(f.lhs))
-        rhs = _picker(self._positions(f.effective_rhs))
+        return (
+            _picker(self._positions(f.lhs)),
+            _picker(self._positions(f.effective_rhs)),
+        )
+
+    def satisfies_fd(self, f: FD) -> bool:
+        """Direct check that ``X → Y`` holds in this instance."""
+        lhs, rhs = self._fd_pickers(f)
         seen: Dict[PyTuple[Any, ...], PyTuple[Any, ...]] = {}
         for row in self._rows:
             val = rhs(row)
@@ -336,8 +331,7 @@ class RelationInstance:
 
     def violating_pair(self, f: FD) -> Optional[PyTuple[Tuple, Tuple]]:
         """A witness pair violating the FD, or ``None``."""
-        lhs = _picker(self._positions(f.lhs))
-        rhs = _picker(self._positions(f.effective_rhs))
+        lhs, rhs = self._fd_pickers(f)
         seen: Dict[PyTuple[Any, ...], int] = {}
         rows = self._rows
         for i, row in enumerate(rows):

@@ -8,7 +8,7 @@ when the relation is iterated.  The reference functions below compute
 the same operations the straightforward way — every row a ``Tuple``,
 every join output ``t.joined(u)``, every projection ``t.project(X)`` —
 and the randomized cases compare results, row order (first
-appearance), equality, hashing and membership.
+appearance), equality, hashing, membership and the FD checks.
 """
 
 import random
@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Mapping
 import pytest
 
 from repro.data.relations import RelationInstance
+from repro.deps.fd import FD
 from repro.data.states import DatabaseState
 from repro.data.tuples import Tuple
 from repro.exceptions import InstanceError
@@ -70,6 +71,26 @@ def ref_join(left: List[Tuple], la, right: List[Tuple], ra) -> List[Tuple]:
         for t in left
         for u in index.get(tuple(t.value(a) for a in common), ())
     )
+
+
+def ref_satisfies_fd(tuples: List[Tuple], f: FD) -> bool:
+    seen: Dict[tuple, tuple] = {}
+    rhs = f.effective_rhs.names
+    for t in tuples:
+        key = tuple(t.value(a) for a in f.lhs.names)
+        val = tuple(t.value(a) for a in rhs)
+        if seen.setdefault(key, val) != val:
+            return False
+    return True
+
+
+def ref_violating_pair(tuples: List[Tuple], f: FD):
+    seen: Dict[tuple, Tuple] = {}
+    for t in tuples:
+        prior = seen.setdefault(tuple(t.value(a) for a in f.lhs.names), t)
+        if not t.agrees_with(prior, f.effective_rhs):
+            return (prior, t)
+    return None
 
 
 def ref_select_eq(tuples: List[Tuple], bindings: Dict[str, Any]) -> List[Tuple]:
@@ -158,7 +179,7 @@ def test_join_matches_reference(seed):
     joined = r.natural_join(s)
     want = ref_join(rref, r.attributes, sref, s.attributes)
     assert_same(joined, want, r.attributes | s.attributes)
-    # either side may be the smaller one the hash table is built on
+    # and with the sides swapped
     assert_same(
         s.natural_join(r),
         ref_join(sref, s.attributes, rref, r.attributes),
@@ -167,7 +188,7 @@ def test_join_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_join_keeps_left_order_whichever_side_is_built(seed):
+def test_join_keeps_left_order_whichever_side_is_larger(seed):
     rng = random.Random(seed)
     small, sref = build(rng, ["A1", "B"], count=rng.randrange(2, 6))
     large, lref = build(rng, ["C", "B"], count=rng.randrange(8, 20))
@@ -179,7 +200,7 @@ def test_join_keeps_left_order_whichever_side_is_built(seed):
         )
 
 
-def test_join_built_on_the_left_emits_in_left_order():
+def test_join_emits_left_order_with_partners_in_right_order():
     left = RelationInstance("K L", [(1, "x"), (0, "y")])
     right = RelationInstance("K R", [(0, "a"), (1, "b"), (0, "c")])
     assert [t.values for t in left * right] == [
@@ -232,6 +253,32 @@ def test_select_matches_reference(seed):
     assert_same(picked, want, rel.attributes)
     with pytest.raises(InstanceError):  # empty or not
         rel.select_eq(Z=1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fd_checks_match_reference(seed):
+    rng = random.Random(seed)
+    rel, ref = build(rng, random_attrs(rng, low=2, high=4))
+    names = rel.attributes.names
+    for _ in range(6):
+        lhs = rng.sample(names, rng.randint(1, len(names) - 1))
+        rhs = rng.sample(names, rng.randint(1, len(names)))  # may overlap lhs
+        f = FD(lhs, rhs)
+        assert rel.satisfies_fd(f) is ref_satisfies_fd(ref, f)
+        pair = rel.violating_pair(f)
+        want = ref_violating_pair(ref, f)
+        assert pair == want
+        assert (pair is None) is rel.satisfies_fd(f)
+        if pair is not None:
+            # the witnesses are the relation's own materialized tuples
+            assert all(any(p is t for t in rel) for p in pair)
+    # an FD reaching outside the relation raises, even with no rows
+    outside = FD(names[:1], ["Z"])
+    for r in (rel, RelationInstance(rel.attributes, [])):
+        with pytest.raises(InstanceError):
+            r.satisfies_fd(outside)
+        with pytest.raises(InstanceError):
+            r.violating_pair(outside)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
