@@ -11,7 +11,7 @@ export PYTHONPATH
 # Makefile benefits from parallel make, so pin the whole file serial.
 .NOTPARALLEL:
 
-.PHONY: help test test-fault test-evolution test-replication loc perfbench-smoke bench bench-all bench-chase-bulk-tiny bench-weak bench-weak-tiny bench-weak-deletes bench-weak-deletes-tiny bench-weak-local bench-weak-local-tiny bench-query bench-query-tiny bench-serve bench-serve-tiny bench-replication bench-replication-tiny bench-evolution bench-evolution-tiny profile-chase docs clean
+.PHONY: help test test-fault test-evolution test-replication loc loc-check perfbench-smoke bench bench-all bench-chase-bulk-tiny bench-weak bench-weak-tiny bench-weak-deletes bench-weak-deletes-tiny bench-weak-local bench-weak-local-tiny bench-query bench-query-tiny bench-serve bench-serve-tiny bench-replication bench-replication-tiny bench-evolution bench-evolution-tiny profile-chase docs clean
 
 help:
 	@echo "targets:"
@@ -20,6 +20,7 @@ help:
 	@echo "  test-evolution          - schema-evolution suite: op catalog, incremental re-check vs full analysis, online migration oracles, migration crash-point recovery matrix"
 	@echo "  test-replication        - replication suite: WAL shipping/anti-entropy units, exactly-once sessions, kill-and-failover matrix under concurrent load"
 	@echo "  loc                     - design-size measures: per-module line counts of src/repro/weak and the named parameters of each public service constructor, then per-module line counts of src/repro/data and src/repro/query"
+	@echo "  loc-check               - the same measures, failing when the src/repro/weak line total or the named-parameter total exceeds its ceiling in tools/loc.py"
 	@echo "  perfbench-smoke         - 1 s perfbench run of each workload, untraced and traced (every run checks its own answers; fails on a nonzero exit)"
 	@echo "  bench                   - all benchmarks; regenerates BENCH_chase.json, BENCH_weak.json and benchmarks/results.txt"
 	@echo "  bench-all               - every bench suite, strictly one after another (single recipe, immune to -j)"
@@ -67,11 +68,16 @@ test-replication:
 
 # The two "quality of design" measures ROADMAP tracks: how many lines
 # src/repro/weak holds, module by module, and how many named knobs each
-# public service constructor takes (an alias of another class is listed
-# under its own name but counted once in the total).  Then, with totals
-# of their own, the line counts of src/repro/data and src/repro/query.
+# public service constructor takes (each class counted once, its
+# aliases named on its line).  Then, with totals of their own, the line
+# counts of src/repro/data and src/repro/query.
 loc:
 	$(PYTHON) tools/loc.py
+
+# The same measures held to the ceilings committed in tools/loc.py: a
+# change that re-adds a wrapper class or a knob fails here.
+loc-check:
+	$(PYTHON) tools/loc.py --check
 
 # One short perfbench run per workload, untraced and traced.  Every run
 # checks its answers against the model and a crash-copy recovery and

@@ -180,7 +180,7 @@ def test_failover_latency(tmp_path):
 
         assert outcome.accepted, "auto-failover must absorb the dead disk"
         assert service.stats.failovers == 1
-        assert service._inner.primary_of(sick) == "r1"
+        assert service.primary_of(sick) == "r1"
         rows_after = service.total_tuples()
     finally:
         service.close()

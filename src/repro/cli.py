@@ -72,7 +72,7 @@ status (serving / degraded / quarantined) and, under ``--workers``,
 queue depths; ``repair <scheme>`` rebuilds one quarantined shard
 online from its newest good snapshot generation plus WAL replay.
 
-``--replicas N`` (with ``--durable``) gives the same durable service a
+``--replicas N`` (with ``--durable``) gives the same service a
 list of N replica stores (sibling directories by default,
 ``--replica-root`` to place them) and ships every shard's WAL to them;
 a persistently quarantined shard fails over to its most-caught-up
@@ -80,8 +80,6 @@ replica automatically, the ``failover``/``rejoin`` ops drive the
 lifecycle by hand (without replicas they report a typed
 ``NoPromotableReplicaError``/``ReplicationError`` line), and
 ``health`` shows the current primary plus per-replica lag.
-``--async-ship`` trades the on-every-replica ack guarantee for commit
-latency.
 
 ``verify-store DIR`` scrubs a durable directory offline — every
 snapshot generation's structure and CRC, every WAL frame — and exits
@@ -115,7 +113,7 @@ from repro.exceptions import EvolutionRejectedError, ParseError, ReproError
 from repro.query.naive import evaluate_naive
 from repro.report import banner
 from repro.schema.evolution import parse_evolution_op
-from repro.weak.durable import DurableShardedService, verify_store
+from repro.weak.durable import verify_store
 from repro.weak.representative import window
 from repro.weak.server import WeakInstanceServer
 from repro.weak.service import WeakInstanceService
@@ -416,13 +414,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
                 return 2
             try:
-                service = DurableShardedService(
+                service = ShardedWeakInstanceService(
                     scenario.schema, scenario.fds, args.durable,
                     report=report,
                     snapshot_interval=args.snapshot_interval,
                     auto_commit=args.workers == 0,
                     replicas=replica_roots,
-                    sync_ship=not args.async_ship,
                 )
             except (ReproError, OSError) as exc:
                 # a corrupt or unreadable store at open time is an
@@ -459,9 +456,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         lines = sys.stdin.read().splitlines()
     server = None
     if args.workers > 0:
-        if not isinstance(
-            service, (ShardedWeakInstanceService, DurableShardedService)
-        ):
+        if not isinstance(service, ShardedWeakInstanceService):
             print(
                 "serve --workers requires --method local (the router "
                 "serializes writes per shard)",
@@ -540,7 +535,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         return 1
     if args.durable:
         try:
-            service = DurableShardedService(
+            service = ShardedWeakInstanceService(
                 scenario.schema, scenario.fds, args.durable, report=report
             )
         except (ReproError, OSError) as exc:
@@ -718,10 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--snapshot-interval",
         type=int,
-        default=DurableShardedService.DEFAULT_SNAPSHOT_INTERVAL,
+        default=ShardedWeakInstanceService.DEFAULT_SNAPSHOT_INTERVAL,
         metavar="K",
         help="with --durable: snapshot a shard after K WAL records "
-        f"(default: {DurableShardedService.DEFAULT_SNAPSHOT_INTERVAL})",
+        f"(default: {ShardedWeakInstanceService.DEFAULT_SNAPSHOT_INTERVAL})",
     )
     p.add_argument(
         "--max-queue",
@@ -752,14 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit replica store directory (repeatable; overrides "
         "the default sibling layout — with --replicas N, give exactly "
         "N of these)",
-    )
-    p.add_argument(
-        "--async-ship",
-        action="store_true",
-        help="ship WAL frames from a background thread instead of "
-        "inside the committing fsync (weaker guarantee: an ack means "
-        "primary-durable, replicas trail by the queue; default: "
-        "synchronous — acked means on every reachable replica too)",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -1,7 +1,7 @@
 """Weak-instance machinery: consistency, reduction, query answering —
 one-shot (:mod:`repro.weak.representative`), served live across
-updates (:mod:`repro.weak.service`), durable on disk
-(:mod:`repro.weak.durable`), and multi-client
+updates (:mod:`repro.weak.service`, :mod:`repro.weak.sharded`),
+durable on disk (:mod:`repro.weak.durable`), and multi-client
 (:mod:`repro.weak.server`)."""
 
 from repro.weak.consistency import (

@@ -1,18 +1,19 @@
 """Per-shard replication: WAL shipping, failover, anti-entropy rejoin.
 
-The durable layer (:mod:`repro.weak.durable`) made each scheme-shard
-an independent *commit* domain; replication makes it an independent
+A shard's log (:mod:`repro.weak.durable`) made each scheme-shard an
+independent *commit* domain; shipping that log makes it an independent
 **availability** domain.  The argument is Theorem 3 once more: no
 cross-shard invariant constrains the interleaving of updates, so a
 shard's log can be shipped, acknowledged, promoted, and rejoined *per
 shard* — no global view change, no distributed commit.
 
-Replication is not a separate service: a
-:class:`~repro.weak.durable.DurableShardedService` built with
-``replicas=[...]`` ships its chains, one built without them has nothing
-to ship.  This module holds the shipping side, :class:`ReplicationManager`
-(one per service), plus the names older callers import
-(:data:`ReplicaStore`, :data:`ReplicatedShardedService`).  Concretely:
+Replication is not a separate service but a strategy of the shard's
+log: a :class:`~repro.weak.sharded.ShardedWeakInstanceService` built
+with a ``root`` and ``replicas=[...]`` ships its chains, one built
+without them has nothing to ship.  This module holds the shipping
+side, :class:`ReplicationManager` (one per service), plus the names
+older callers import (:data:`ReplicaStore`,
+:data:`ReplicatedShardedService`).  Concretely:
 
 * **WAL shipping.**  Every fsynced WAL blob is forwarded, still under
   that WAL's I/O lock, to N replica targets — each a
@@ -21,11 +22,9 @@ to ship.  This module holds the shipping side, :class:`ReplicationManager`
   (independently fault-injectable).  A replica appends the frames at
   the expected base offset and fsyncs; the ack is recorded as a
   replication ``(epoch, offset)`` pair plus a cumulative frame count.
-  In the default **sync** mode the ship happens before the shard's
-  commit returns: *acked ⟹ fsynced on the primary AND on every
-  reachable replica*.  ``sync_ship=False`` ships from a background
-  thread (acked ⟹ primary-durable; :meth:`ReplicationManager.flush`
-  waits for the queue to land).
+  The ship happens in the committing thread before the shard's commit
+  returns: *acked ⟹ fsynced on the primary AND on every reachable
+  replica*.
 * **Replica faults never fail the primary.**  An ``OSError`` from a
   replica marks that target *behind* (counted, surfaced in
   ``health()``); the next ship — or ``rejoin`` — runs **anti-entropy
@@ -58,14 +57,14 @@ from __future__ import annotations
 
 import logging
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import NoPromotableReplicaError, ReplicationError
-from repro.weak.durable import DurableShardedService, ShardStore
+from repro.weak.durable import ShardStore
+from repro.weak.sharded import ShardedWeakInstanceService
 
 _log = logging.getLogger(__name__)
 
@@ -84,9 +83,9 @@ REPLICATION_CRASH_POINTS = (
 #: chain reader, behind the replica's own ``StoreIO``
 ReplicaStore = ShardStore
 
-#: the durable service given a replica list (``replicas=[...]``), under
-#: the name callers of the replication layer import
-ReplicatedShardedService = DurableShardedService
+#: the service given a replica list (``replicas=[...]``), under the name
+#: callers of the replication layer import
+ReplicatedShardedService = ShardedWeakInstanceService
 
 
 @dataclass
@@ -108,24 +107,20 @@ class _Target:
 
 class ReplicationManager:
     """Shipping, acks, lag, promotion, and anti-entropy for every
-    shard of one :class:`~repro.weak.durable.DurableShardedService`.
+    shard of one :class:`~repro.weak.sharded.ShardedWeakInstanceService`.
 
     ``replicas`` are paths (a :class:`ShardStore` with the default
     ``StoreIO`` is built over each) or prebuilt stores; duplicate
     labels get an index suffix.  A shard's lock guards its target
     state across its replica I/O (a stalled replica stalls only that
     shard); the manager lock guards the lock table and counters.
-    The sync ship path runs in the committing thread (under
-    the shard WAL's I/O lock, so frames reach replicas in WAL order),
-    the async path drains a FIFO queue on a daemon thread — same
-    per-item logic, same ordering, weaker ack timing."""
+    Shipping runs in the committing thread, under the shard WAL's I/O
+    lock, so frames reach replicas in WAL order."""
 
     def __init__(
         self,
-        service: DurableShardedService,
+        service: ShardedWeakInstanceService,
         replicas: Sequence[Union[str, os.PathLike, ShardStore]] = (),
-        sync: bool = True,
-        clock=time.monotonic,
     ):
         self.service = service
         self.stores = []
@@ -136,7 +131,6 @@ class ReplicationManager:
                 store.label = f"{store.label}-{index}"
             labels.add(store.label)
             self.stores.append(store)
-        self.clock = clock
         self._lock = threading.Lock()
         self._shard_locks: Dict[str, threading.RLock] = {}
         self._targets: Dict[str, Dict[str, _Target]] = {}
@@ -147,14 +141,6 @@ class ReplicationManager:
         self._primary_offset: Dict[str, int] = {}
         #: per-shard replication epoch, bumped by every promotion
         self.epochs: Dict[str, int] = {}
-        self._queue: Optional["queue.Queue"] = None
-        self._thread: Optional[threading.Thread] = None
-        if not sync:
-            self._queue = queue.Queue()
-            self._thread = threading.Thread(
-                target=self._drain, name="repro-wal-shipper", daemon=True
-            )
-            self._thread.start()
 
     # -- target bookkeeping ------------------------------------------------------
 
@@ -182,56 +168,9 @@ class ReplicationManager:
     # -- shipping ----------------------------------------------------------------
 
     def ship(self, name: str, blob: bytes, base_offset: int, count: int) -> None:
-        """Forward one fsynced blob (sync: caller's thread; async:
-        enqueue).  Never raises for a replica's I/O failure."""
-        self._submit(self._ship_now, name, blob, base_offset, count)
+        """Forward one fsynced blob to every target of the shard.
+        Never raises for a replica's I/O failure."""
 
-    def ship_snapshot(self, name: str, payload: str) -> None:
-        self._submit(self._install_now, name, payload)
-
-    def _submit(self, step, *args) -> None:
-        if self._queue is None:
-            step(*args)
-        else:
-            self._queue.put((step, args))
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            step, args = item
-            try:
-                step(*args)
-            except Exception:  # pragma: no cover - shipping never raises
-                _log.exception("async shipper: unexpected error")
-            finally:
-                self._queue.task_done()
-
-    def flush(self, timeout: float = 5.0) -> bool:
-        """Block until every queued ship has *landed* — not merely
-        left the queue — or ``timeout`` seconds pass; returns whether
-        it landed (always ``True`` in sync mode).  The close path and
-        the tests' determinism handle."""
-        if self._queue is None:
-            return True
-        deadline = time.monotonic() + timeout
-        done = self._queue.all_tasks_done
-        with done:
-            while self._queue.unfinished_tasks:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                done.wait(remaining)
-        return True
-
-    def stop(self) -> None:
-        if self._queue is not None and self._thread is not None:
-            self._queue.put(None)
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _ship_now(self, name: str, blob: bytes, base_offset: int, count: int) -> None:
         def deliver(target: _Target) -> None:
             if (
                 target.synced
@@ -253,7 +192,7 @@ class ReplicationManager:
             self._primary_offset[name] = base_offset + len(blob)
             self._deliver(name, deliver)
 
-    def _install_now(self, name: str, payload: str) -> None:
+    def ship_snapshot(self, name: str, payload: str) -> None:
         def deliver(target: _Target) -> None:
             target.store.install_snapshot(name, payload)
             self._count(replica_snapshot_installs=1)
@@ -281,7 +220,7 @@ class ReplicationManager:
         target.acked_offset = self._primary_offset.get(name, 0)
         target.acked_frames = self._primary_frames.get(name, 0)
         target.acked_epoch = self.epochs.get(name, 0)
-        target.last_ack = self.clock()
+        target.last_ack = time.monotonic()
         target.error = None
         target.synced = True
 
@@ -406,7 +345,7 @@ class ReplicationManager:
         with self._shard_lock(name):
             # read under the lock: a reader that waited out an
             # in-flight ship must not see that ship's ack in its future
-            now = self.clock()
+            now = time.monotonic()
             primary_frames = self._primary_frames.get(name, 0)
             report: Dict[str, Dict[str, object]] = {}
             for label, target in self._targets_for(name).items():

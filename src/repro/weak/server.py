@@ -1,10 +1,9 @@
-"""A multi-client front end over the sharded weak-instance services.
+"""A multi-client front end over the sharded weak-instance service.
 
 :class:`WeakInstanceServer` turns the single-threaded
-:class:`~repro.weak.sharded.ShardedWeakInstanceService` (or its
-durable wrapper, :class:`~repro.weak.durable.DurableShardedService`)
-into a concurrent request processor, leaning on the same Theorem 3
-independence the sharding does:
+:class:`~repro.weak.sharded.ShardedWeakInstanceService` — with or
+without a log — into a concurrent request processor, leaning on the
+same Theorem 3 independence the sharding does:
 
 * **Per-shard write serialization by routing.**  Writes are enqueued
   onto one of ``workers`` queues chosen by the target scheme (stable
@@ -16,10 +15,10 @@ independence the sharding does:
   interleaving could break.
 * **Group-commit batching, committed per shard.**  A worker drains its
   queue opportunistically (up to ``batch_limit`` requests), applies
-  contiguous insert runs through :meth:`~repro.weak.durable.
-  DurableShardedService.apply_insert_many` — one lock acquisition per
-  touched shard — and then commits the batch's shards itself via
-  :meth:`~repro.weak.durable.DurableShardedService.commit_shards`:
+  contiguous insert runs through :meth:`~repro.weak.sharded.
+  ShardedWeakInstanceService.apply_insert_many` — one lock acquisition
+  per touched shard — and then commits the batch's shards itself via
+  :meth:`~repro.weak.sharded.ShardedWeakInstanceService.commit_shards`:
   one WAL write + ``fsync`` per dirty shard, in the worker's own
   thread.  Because each worker owns its shards outright (the routing)
   and independent shards need no global commit order (Theorem 3),
@@ -36,10 +35,10 @@ independence the sharding does:
   A client that saw its insert acknowledged is guaranteed to see it in
   a later read: the write is applied before the future resolves.
 
-The server works over a plain in-memory sharded service (writes are
-applied under shard locks) or a durable one (writes are staged and
-acknowledged only after the worker's commit of their shard fsyncs).
-If the durable layer crashes — for real or through a fault
+Every write goes the same way: applied under its shard lock, staged
+when the service keeps a log, and acknowledged only after the
+worker's commit of its shard (which, without a log, has nothing to
+do).  If a service with a store crashes — for real or through a fault
 hook — every in-flight and subsequent write fails with
 :class:`~repro.weak.durable.DurableUnavailableError`; reads keep
 serving the in-memory state, mirroring a read-only degraded mode.
@@ -48,12 +47,12 @@ Two further failure-domain behaviors ride on the same routing:
 
 * **Backpressure.**  ``max_queue`` bounds each worker's queue; when a
   worker falls behind (slow disk, quarantined shard backlog) a submit
-  that cannot enqueue within ``submit_timeout`` seconds is *shed* with
+  against a full queue is *shed* at once with
   :class:`~repro.exceptions.ServiceOverloadedError` — the request was
   never applied, so the client can safely retry — instead of growing
   an unbounded queue until memory does the shedding.  ``max_queue=0``
   (the default) keeps the old unbounded ``SimpleQueue`` behavior.
-* **Quarantine isolation.**  A durable shard that was quarantined (or
+* **Quarantine isolation.**  A shard that was quarantined (or
   degraded read-only) fails only its *own* requests with
   :class:`~repro.exceptions.ShardQuarantinedError`: the batched insert
   path gates every touched shard before applying anything, so the
@@ -81,7 +80,6 @@ from repro.exceptions import (
     ShardQuarantinedError,
 )
 from repro.schema.attributes import AttributeSet, AttrsLike
-from repro.weak.durable import DurableShardedService
 from repro.weak.service import WindowQueryAPI
 from repro.weak.sharded import ShardedWeakInstanceService
 
@@ -111,7 +109,7 @@ class WeakInstanceServer(WindowQueryAPI):
     Use as a context manager or call :meth:`start`/:meth:`stop`.
     Client-facing entry points are thread-safe: :meth:`insert` /
     :meth:`delete` (synchronous: durable-acknowledged before they
-    return, when the service is durable), their ``submit_*`` variants
+    return, when the service has a store), their ``submit_*`` variants
     (return a :class:`~concurrent.futures.Future`), and the
     :class:`~repro.weak.service.WindowQueryAPI` read surface.
     """
@@ -121,17 +119,15 @@ class WeakInstanceServer(WindowQueryAPI):
 
     def __init__(
         self,
-        service: Union[DurableShardedService, ShardedWeakInstanceService],
+        service: ShardedWeakInstanceService,
         workers: int = 4,
         batch_limit: int = DEFAULT_BATCH_LIMIT,
         max_queue: int = 0,
-        submit_timeout: Optional[float] = None,
     ):
         """``max_queue`` > 0 bounds each worker's queue at that many
-        pending requests; a submit against a full queue waits up to
-        ``submit_timeout`` seconds (``None``: fail immediately) and is
-        then shed with :class:`ServiceOverloadedError`.  ``max_queue=0``
-        keeps the queues unbounded and ``submit_timeout`` unused."""
+        pending requests; a submit against a full queue is shed at once
+        with :class:`ServiceOverloadedError`.  ``max_queue=0`` keeps
+        the queues unbounded."""
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_queue < 0:
@@ -140,11 +136,6 @@ class WeakInstanceServer(WindowQueryAPI):
         self.workers = workers
         self.batch_limit = batch_limit
         self.max_queue = max_queue
-        self.submit_timeout = submit_timeout
-        self.durable = isinstance(service, DurableShardedService)
-        self._inner: ShardedWeakInstanceService = (
-            service.inner if self.durable else service
-        )
         self._bind_shards()
         self._plan_lock = threading.Lock()
         # unbounded: SimpleQueue (C-implemented, so the per-request
@@ -169,13 +160,13 @@ class WeakInstanceServer(WindowQueryAPI):
     def _bind_shards(self) -> None:
         """Route and lock by the service's current shard set (at start,
         and after an evolution changed it)."""
-        names = sorted(self._inner.shard_names())
+        names = sorted(self.service.shard_names())
         #: scheme -> worker index; the stable routing that serializes
         #: each shard's writes through exactly one worker
         self._route = {name: i % self.workers for i, name in enumerate(names)}
         #: each shard's own lock (the same object for its whole life
         #: under one name, so a rebuild never swaps it under a holder)
-        self._locks = {name: self._inner.shard_lock(name) for name in names}
+        self._locks = {name: self.service.shard_lock(name) for name in names}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -205,7 +196,7 @@ class WeakInstanceServer(WindowQueryAPI):
         for t in self._threads:
             t.join()
         self._threads = []
-        if self.durable and not self.service.crashed:
+        if not self.service.crashed:
             try:
                 self.service.commit()  # belt and braces: nothing staged
             except ShardQuarantinedError:
@@ -234,22 +225,12 @@ class WeakInstanceServer(WindowQueryAPI):
         if worker is None:
             raise SchemaError(f"no relation named {scheme_name!r} in this schema")
         if session is not None:
-            if not self.durable:
-                raise ReproError(
-                    "exactly-once sessions require a durable service (the "
-                    "stamp lives in the WAL frame)"
-                )
             sid, seq = session
             session = (str(sid), int(seq))
         request = _WriteRequest(kind, scheme_name, row, session)
         if self.max_queue:
             try:
-                if self.submit_timeout is None:
-                    self._queues[worker].put_nowait(request)
-                else:
-                    self._queues[worker].put(
-                        request, timeout=self.submit_timeout
-                    )
+                self._queues[worker].put_nowait(request)
             except queue.Full:
                 self.requests_shed += 1
                 raise ServiceOverloadedError(
@@ -270,11 +251,11 @@ class WeakInstanceServer(WindowQueryAPI):
     ) -> Future:
         """Enqueue an insert; the future resolves to its
         :class:`~repro.core.maintenance.InsertOutcome` once applied
-        (and fsynced, on a durable service).  ``session`` is an
+        (and fsynced, with a store).  ``session`` is an
         exactly-once idempotency stamp ``(session_id, seq)``: a
         duplicate submission of the stamped write (a retry after a
         lost ack) resolves to the original outcome instead of
-        re-applying — durable services only."""
+        re-applying — services with a store only."""
         return self._submit("insert", scheme_name, row, session)
 
     def submit_delete(
@@ -333,8 +314,8 @@ class WeakInstanceServer(WindowQueryAPI):
     def _apply_insert_run(
         self, run: List[_WriteRequest], resolved: List[_WriteRequest]
     ) -> bool:
-        """Apply one contiguous insert run on a durable service,
-        stripping quarantined shards' ops and retrying the rest —
+        """Apply one contiguous insert run, stripping quarantined
+        shards' ops and retrying the rest —
         ``apply_insert_many`` gates every touched shard *before*
         applying anything, so a :class:`ShardQuarantinedError` means
         the run was not applied at all and the healthy remainder can
@@ -364,7 +345,7 @@ class WeakInstanceServer(WindowQueryAPI):
     def _process_batch(self, batch: List[_WriteRequest]) -> None:
         """Apply a drained batch in order: contiguous insert runs go
         through the batched apply (one lock per shard), deletes apply
-        singly.  On a durable service the worker then commits the
+        singly.  When anything was staged the worker then commits the
         batch's shards itself (one fsync per dirty shard, overlapping
         other workers' commits) — success futures resolve only after
         that commit, so an acknowledged write is a durable write.  The
@@ -390,18 +371,7 @@ class WeakInstanceServer(WindowQueryAPI):
                     end += 1
                 run = batch[index:end]
                 try:
-                    if self.durable:
-                        staged = self._apply_insert_run(run, resolved) or staged
-                    else:
-                        with ExitStack() as stack:
-                            for name in sorted({r.scheme for r in run}):
-                                stack.enter_context(self._locks[name])
-                            outcomes = svc.insert_many(
-                                [(r.scheme, r.row) for r in run]
-                            )
-                        for r, outcome in zip(run, outcomes):
-                            r.result = outcome
-                            resolved.append(r)
+                    staged = self._apply_insert_run(run, resolved) or staged
                 except BaseException as exc:  # noqa: BLE001 - relayed to clients
                     for r in run:
                         if not r.future.done():
@@ -411,30 +381,17 @@ class WeakInstanceServer(WindowQueryAPI):
                 # deletes and session-stamped inserts apply singly:
                 # the exactly-once dedup check must run under the
                 # shard lock with the stamp attached to its own frame
+                apply = svc.apply_insert if request.kind == "insert" else svc.apply_delete
                 try:
-                    if self.durable:
-                        if request.kind == "insert":
-                            outcome, staged_now = svc.apply_insert(
-                                request.scheme,
-                                request.row,
-                                session=request.session,
-                            )
-                        else:
-                            outcome, staged_now = svc.apply_delete(
-                                request.scheme,
-                                request.row,
-                                session=request.session,
-                            )
-                        staged = staged or staged_now
-                    else:
-                        with self._locks[request.scheme]:
-                            outcome = svc.delete(request.scheme, request.row)
-                    request.result = outcome
+                    request.result, staged_now = apply(
+                        request.scheme, request.row, session=request.session
+                    )
+                    staged = staged or staged_now
                     resolved.append(request)
                 except BaseException as exc:  # noqa: BLE001
                     request.future.set_exception(exc)
                 index += 1
-        if self.durable and staged:
+        if staged:
             by_shard: Dict[str, List[_WriteRequest]] = {}
             for r in resolved:
                 by_shard.setdefault(r.scheme, []).append(r)
@@ -463,11 +420,11 @@ class WeakInstanceServer(WindowQueryAPI):
         target = AttributeSet(attrset)
         self.reads_served += 1
         with self._plan_lock:
-            plan = self._inner._plan(target)
+            plan = self.service._plan(target)
         with ExitStack() as stack:
             for name in plan.shards:
                 stack.enter_context(self._locks[name])
-            return self._inner.window(target)
+            return self.service._window(target)
 
     def query(self, query):
         """A relational query under the same locking discipline as
@@ -478,7 +435,7 @@ class WeakInstanceServer(WindowQueryAPI):
         return self._locked_query(query, explain=False)
 
     def explain(self, query):
-        """The inner service's :meth:`~repro.weak.service.
+        """The service's :meth:`~repro.weak.service.
         WindowQueryAPI.explain`, run under the same locks as
         :meth:`query`."""
         return self._locked_query(query, explain=True)
@@ -490,7 +447,7 @@ class WeakInstanceServer(WindowQueryAPI):
         self.reads_served += 1
         targets = {s.attrs for s in q.scans()}
         with self._plan_lock:
-            names = {n for t in targets for n in self._inner._plan(t).shards}
+            names = {n for t in targets for n in self.service._plan(t).shards}
         run = self.service.explain if explain else self.service.query
         with ExitStack() as stack:
             for name in sorted(names):
@@ -502,14 +459,12 @@ class WeakInstanceServer(WindowQueryAPI):
         with ExitStack() as stack:
             for name in sorted(self._locks):
                 stack.enter_context(self._locks[name])
-            return self._inner.state()
+            return self.service.state()
 
     def snapshot(self) -> None:
-        """Force a snapshot of every shard (durable services only);
-        safe while the workers run — the snapshot path takes each
-        shard's lock and commits its pending records first."""
-        if not self.durable:
-            raise ReproError("snapshot requires a durable service")
+        """Force a snapshot of every shard (services with a store
+        only); safe while the workers run — the snapshot path takes
+        each shard's lock and commits its pending records first."""
         self.service.snapshot()
 
     def health(self) -> Dict[str, object]:
@@ -549,7 +504,7 @@ class WeakInstanceServer(WindowQueryAPI):
         journal), the calling thread takes every shard lock, in sorted
         order, so no worker batch or reader is mid-flight
         while the journal replays and the catalog swaps (and, on a
-        durable service, while the new epoch's snapshots are
+        service with a store, while the new epoch's snapshots are
         finalized — the shard locks are reentrant, so the finalize's
         own per-shard locking nests cleanly).  Once the service call
         returns, the routing table and lock map are rebuilt for the
@@ -572,19 +527,17 @@ class WeakInstanceServer(WindowQueryAPI):
         return result
 
     def repair(self, scheme_name: str) -> Dict[str, object]:
-        """Repair one shard online (durable services only): delegates
-        to :meth:`~repro.weak.durable.DurableShardedService.repair`,
+        """Repair one shard online (services with a store only):
+        delegates to :meth:`~repro.weak.sharded.ShardedWeakInstanceService.repair`,
         which takes the shard's own locks — the workers keep serving
         every other shard while it runs."""
-        if not self.durable:
-            raise ReproError("repair requires a durable service")
         return self.service.repair(scheme_name)
 
     def shard_versions(self) -> Dict[str, int]:
         """The monotone per-shard version stamps — the read tokens the
         stress tests use to assert no torn reads."""
         return {
-            name: self._inner._shard(name).version for name in self._locks
+            name: self.service._shard(name).version for name in self._locks
         }
 
     def stats_dict(self) -> Dict[str, object]:
@@ -603,5 +556,5 @@ class WeakInstanceServer(WindowQueryAPI):
     def __repr__(self) -> str:
         return (
             f"WeakInstanceServer<workers={self.workers}, "
-            f"durable={self.durable}, running={self._running}>"
+            f"running={self._running}>"
         )

@@ -589,7 +589,7 @@ class WindowQueryAPI:
 
     def health(self) -> Dict[str, object]:
         """Uniform health surface: in-memory services are always
-        serving with no per-shard state; the durable service and the
+        serving with no per-shard state; the sharded service and the
         server override this with real per-shard status, error detail,
         and queue depths."""
         return {"status": "serving", "shards": {}, "errors": {}}

@@ -151,7 +151,7 @@ class TestRetryAndQuarantine:
         with open_service(tmp_path / "d", io) as svc:
 
             def assert_agree(r1_status):
-                outer, inner = svc.health(), svc.inner.health()
+                outer, inner = svc.health(), svc.health()
                 assert outer["shards"] == inner["shards"]
                 assert outer["errors"] == inner["errors"]
                 assert outer["status"] == inner["status"]
@@ -189,7 +189,7 @@ class TestRetryAndQuarantine:
             # [A2 A3] reads R2; [A1 A3], [A1 A4] and [A2 A4] look an
             # attribute up in R2
             for attrs in ("A2 A3", "A1 A3", "A1 A4", "A2 A4"):
-                assert "R2" in svc.inner._plan(AttributeSet(attrs)).shards
+                assert "R2" in svc._plan(AttributeSet(attrs)).shards
                 with pytest.raises(ShardQuarantinedError):
                     svc.window(attrs)
                 with pytest.raises(ShardQuarantinedError):

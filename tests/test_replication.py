@@ -231,45 +231,23 @@ class TestShipping:
             assert lag["sick"]["lag_frames"] == 0
             assert lag["sick"]["error"] is None
 
-    def test_async_ship_catches_up_on_flush(self, tmp_path, chain2):
-        schema, fds = chain2
-        root = tmp_path / "r1"
-        with ReplicatedShardedService(
-            schema, fds, tmp_path / "d", replicas=[root], sync_ship=False
-        ) as svc:
-            for k in range(8):
-                svc.insert("R1", row(schema, "R1", f"a{k}", f"b{k}"))
-            svc._manager.flush()
-            assert chain_bytes(root, "R1") == chain_bytes(tmp_path / "d", "R1")
-            assert svc.replication_status()["mode"] == "async"
-
-    def test_async_flush_waits_for_the_last_ship_to_land(self, tmp_path, chain2):
-        """``flush`` must wait for the item the shipper already took
-        off the queue, not only for an empty queue."""
-        schema, fds = chain2
-        root = tmp_path / "r1"
-        replica = ReplicaStore(root, io=SlowIO())
-        with ReplicatedShardedService(
-            schema, fds, tmp_path / "d", replicas=[replica], sync_ship=False
-        ) as svc:
-            svc.insert("R1", row(schema, "R1", "a", "b"))
-            assert svc._manager.flush()
-            assert chain_bytes(root, "R1") == chain_bytes(tmp_path / "d", "R1")
-
     def test_lag_never_reports_an_ack_from_the_future(self, tmp_path, chain2):
         schema, fds = chain2
         slow = SlowIO()
         replica = ReplicaStore(tmp_path / "r1", io=slow)
         with ReplicatedShardedService(
-            schema, fds, tmp_path / "d", replicas=[replica], sync_ship=False
+            schema, fds, tmp_path / "d", replicas=[replica]
         ) as svc:
             svc.insert("R1", row(schema, "R1", "a", "b"))
-            svc._manager.flush()
             slow.writing.clear()
-            svc.insert("R1", row(schema, "R1", "c", "d"))
-            assert slow.writing.wait(5.0)  # the second ship is in flight
-            lag = svc.replication_status()["shards"]["R1"]["replicas"]["r1"]
-            assert lag["seconds_since_ack"] >= 0
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                second = pool.submit(
+                    svc.insert, "R1", row(schema, "R1", "c", "d")
+                )
+                assert slow.writing.wait(5.0)  # the second ship is in flight
+                lag = svc.replication_status()["shards"]["R1"]["replicas"]["r1"]
+                assert lag["seconds_since_ack"] >= 0
+                assert second.result(timeout=5.0).accepted
 
     def test_health_surfaces_replication(self, tmp_path, chain2):
         schema, fds = chain2
@@ -380,7 +358,7 @@ class TestShardIdentity:
         ) as svc:
             svc.insert("R1", row(schema, "R1", "a", "b"))
             lock = svc.shard_lock("R1")
-            assert svc.inner.shard_lock("R1") is lock
+            assert svc.shard_lock("R1") is lock
             if rebuild == "evolve":
                 result = svc.evolve(parse_evolution_op("add-fd A2 -> A1"))
                 assert result.rebuilt == ("R1",)
@@ -408,8 +386,8 @@ class TestFailover:
             svc.insert("R2", row(schema, "R2", "b", "c"))
             result = svc.failover("R1")
             assert result["promoted"] == "r1"
-            assert svc.inner.primary_of("R1") == "r1"
-            assert svc.inner.primary_of("R2") == "primary"
+            assert svc.primary_of("R1") == "r1"
+            assert svc.primary_of("R2") == "primary"
             assert shard_rows(svc, "R1") == [("a", "b")]
             out = svc.insert("R1", row(schema, "R1", "c", "d"))
             assert out.accepted
@@ -431,11 +409,11 @@ class TestFailover:
             out = svc.insert("R1", row(schema, "R1", "c", "d"))
             assert out.accepted
             assert svc.stats.failovers == 1
-            assert svc.inner.primary_of("R1") == "r1"
+            assert svc.primary_of("R1") == "r1"
             assert svc.health()["shards"]["R1"] == "serving"
             assert shard_rows(svc, "R1") == [("a", "b"), ("c", "d")]
             # the sibling shard never noticed
-            assert svc.inner.primary_of("R2") == "primary"
+            assert svc.primary_of("R2") == "primary"
 
     def test_quarantine_stands_without_replicas(self, tmp_path, chain2):
         schema, fds = chain2
@@ -476,7 +454,7 @@ class TestFailover:
             schema, fds, root, replicas=[replica]
         ) as svc:
             assert svc.stats.failovers == 1
-            assert svc.inner.primary_of("R1") == "r1"
+            assert svc.primary_of("R1") == "r1"
             assert shard_rows(svc, "R1") == [("a", "b"), ("c", "d")]
             out = svc.insert("R1", row(schema, "R1", "e", "f"))
             assert out.accepted
@@ -675,7 +653,7 @@ class TestOneChainReader:
             schema, fds, root / "d", replicas=[root / "r1"]
         ) as svc:
             assert svc.stats.failovers == 1
-            assert svc.inner.primary_of("R1") == "r1"
+            assert svc.primary_of("R1") == "r1"
             assert shard_rows(svc, "R1") == expected
             counts["failover"] = svc.stats.wal_records_replayed
         assert counts == dict.fromkeys(counts, frames)
@@ -765,7 +743,7 @@ class TestReplayIdempotence:
             wal.write_bytes(blob)
             with DurableShardedService(schema, fds, root) as svc:
                 states.append(shard_rows(svc, "R1"))
-                sessions.append(dict(svc.inner._shard("R1").sessions))
+                sessions.append(dict(svc._shard("R1").sessions))
         assert states[0] == states[1]
         assert sessions[0].keys() == sessions[1].keys()
         for sid in sessions[0]:

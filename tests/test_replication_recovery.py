@@ -102,9 +102,9 @@ class TestKillPrimaryMidCommit:
             primary_io.kill(match="shards/R1")
             acked += drain(submit_wave(server, schema, 6, 6))
             assert svc.stats.failovers == 1
-            assert svc._inner.primary_of("R1") == "r1"
+            assert svc.primary_of("R1") == "r1"
             for other in ("R2", "R3", "R4"):
-                assert svc._inner.primary_of(other) == "primary"
+                assert svc.primary_of(other) == "primary"
             assert server.health()["shards"]["R1"] == "serving"
             assert_acked_present(server, schema, acked)
             assert_observationally_equivalent(
@@ -132,7 +132,7 @@ class TestKillPrimaryMidSnapshot:
         with WeakInstanceServer(svc, workers=2) as server:
             acked = drain(submit_wave(server, schema, 0, 10))
             assert svc.stats.failovers >= 1
-            assert svc._inner.primary_of("R2") == "r1"
+            assert svc.primary_of("R2") == "r1"
             assert server.health()["shards"]["R2"] == "serving"
             assert_acked_present(server, schema, acked)
             assert_observationally_equivalent(

@@ -163,7 +163,7 @@ class TestDurableServing:
                 expected = [
                     (
                         "+" if kind == "insert" else "-",
-                        service.inner._shard(name)
+                        service._shard(name)
                         .checker.coerce_tuple(name, row)
                         .values,
                     )
@@ -302,7 +302,7 @@ class TestMultiWriterStress:
                 expected = [
                     (
                         "+" if kind == "insert" else "-",
-                        service.inner._shard(name)
+                        service._shard(name)
                         .checker.coerce_tuple(name, row)
                         .values,
                     )

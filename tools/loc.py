@@ -2,30 +2,49 @@
 
 1. Line counts of every module in ``src/repro/weak``.
 2. The named parameters of each public service constructor.
-   ``*args``/``**kwargs`` are not counted.  An alias of another class
-   is listed under its own name but counted once in the total.
+   ``*args``/``**kwargs`` are not counted.  Each class is listed and
+   counted once; the names older callers import for it are listed on
+   its line as aliases.  A name in ``ALIASES`` that stops being an
+   alias (a wrapper class is back) is listed and counted as a class
+   of its own.
 
 Then, as context for the first measure, the per-module line counts of
 ``src/repro/data`` and ``src/repro/query`` — the relational algebra and
 the query executor that reads run through.  They have totals of their
 own and leave the ``src/repro/weak`` total as it was.
 
-Run with ``make loc`` (or ``PYTHONPATH=src python tools/loc.py``).
+``--check`` also compares both measures with the committed ceilings
+below and exits nonzero when either is exceeded, so a change that
+re-adds a wrapper or a knob has to lower something else or raise the
+ceiling in plain sight.
+
+Run with ``make loc`` / ``make loc-check`` (or
+``PYTHONPATH=src python tools/loc.py [--check]``).
 """
 
+import argparse
 import importlib
 import inspect
 import pathlib
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 CONSTRUCTORS = (
     "service.WeakInstanceService",
     "sharded.ShardedWeakInstanceService",
-    "durable.DurableShardedService",
-    "replication.ReplicatedShardedService",
     "server.WeakInstanceServer",
 )
+#: names older callers import for a class above
+ALIASES = (
+    "durable.DurableShardedService",
+    "replication.ReplicatedShardedService",
+)
+
+#: ceilings ``--check`` enforces: the src/repro/weak line total and
+#: the named constructor parameters summed over the classes
+MAX_WEAK_LINES = 5978
+MAX_PARAMETERS = 23
 
 _VARIADIC = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
 
@@ -41,27 +60,58 @@ def _line_counts(layer: str) -> int:
     return total
 
 
-def main() -> None:
-    print(f"{_line_counts('weak'):6d} total")
-    seen = set()
+def _resolve(dotted: str):
+    module, attr = dotted.split(".")
+    return getattr(importlib.import_module(f"repro.weak.{module}"), attr)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit 1 when a measure exceeds its committed ceiling",
+    )
+    args = parser.parse_args(argv)
+    lines = _line_counts("weak")
+    print(f"{lines:6d} total")
+    classes = {}  # class -> the dotted name it is listed under
+    aliases = {}  # class -> dotted alias names
+    for dotted in CONSTRUCTORS + ALIASES:
+        cls = _resolve(dotted)
+        if cls in classes:
+            aliases.setdefault(cls, []).append(dotted)
+        else:
+            classes[cls] = dotted
     knobs = 0
-    for dotted in CONSTRUCTORS:
-        module, attr = dotted.split(".")
-        cls = getattr(importlib.import_module(f"repro.weak.{module}"), attr)
+    for cls, dotted in classes.items():
         params = [
             p.name
             for p in inspect.signature(cls).parameters.values()
             if p.kind not in _VARIADIC
         ]
-        alias = "" if cls.__name__ == attr else f" (alias of {cls.__name__})"
-        if cls not in seen:
-            knobs += len(params)
-            seen.add(cls)
-        print(f"{len(params):6d} {dotted}{alias}: {', '.join(params)}")
-    print(f"{knobs:6d} named constructor parameters across {len(seen)} classes")
+        knobs += len(params)
+        named = f" (aliases: {', '.join(aliases[cls])})" if cls in aliases else ""
+        print(f"{len(params):6d} {dotted}{named}: {', '.join(params)}")
+    print(f"{knobs:6d} named constructor parameters across {len(classes)} classes")
     for layer in ("data", "query"):
         print(f"{_line_counts(layer):6d} total src/repro/{layer}")
+    if not args.check:
+        return 0
+    failures = [
+        f"{what} {value} exceeds the ceiling {ceiling}"
+        for what, value, ceiling in (
+            ("src/repro/weak line total", lines, MAX_WEAK_LINES),
+            ("named constructor parameters", knobs, MAX_PARAMETERS),
+        )
+        if value > ceiling
+    ]
+    for failure in failures:
+        print(f"loc-check: {failure}", file=sys.stderr)
+    if not failures:
+        print(f"loc-check: ok ({lines} <= {MAX_WEAK_LINES} lines, "
+              f"{knobs} <= {MAX_PARAMETERS} parameters)")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
