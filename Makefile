@@ -20,7 +20,7 @@ help:
 	@echo "  test-evolution          - schema-evolution suite: op catalog, incremental re-check vs full analysis, online migration oracles, migration crash-point recovery matrix"
 	@echo "  test-replication        - replication suite: WAL shipping/anti-entropy units, exactly-once sessions, kill-and-failover matrix under concurrent load"
 	@echo "  loc                     - design-size measures: per-module line counts of src/repro/weak and the named parameters of each public service constructor, then per-module line counts of src/repro/data and src/repro/query"
-	@echo "  loc-check               - the same measures, failing when the src/repro/weak line total or the named-parameter total exceeds its ceiling in tools/loc.py"
+	@echo "  loc-check               - the same measures, failing when the src/repro/weak line total, the named-parameter total or the src/repro/query line total exceeds its ceiling in tools/loc.py"
 	@echo "  perfbench-smoke         - 1 s perfbench run of each workload, untraced and traced (every run checks its own answers; fails on a nonzero exit)"
 	@echo "  bench                   - all benchmarks; regenerates BENCH_chase.json, BENCH_weak.json and benchmarks/results.txt"
 	@echo "  bench-all               - every bench suite, strictly one after another (single recipe, immune to -j)"
@@ -75,7 +75,8 @@ loc:
 	$(PYTHON) tools/loc.py
 
 # The same measures held to the ceilings committed in tools/loc.py: a
-# change that re-adds a wrapper class or a knob fails here.
+# change that re-adds a wrapper class, a knob or a second query path
+# fails here.
 loc-check:
 	$(PYTHON) tools/loc.py --check
 

@@ -17,9 +17,10 @@ node kinds:
 * :class:`Join` — the natural join of two subqueries on their shared
   attributes (executed as a hash join).
 
-Nodes are frozen and hashable: a normalized tree is the plan-cache key
-of :class:`repro.query.engine.QueryEngine`.  Two construction styles
-produce identical trees — the fluent builder::
+Nodes are frozen and hashable.  With its constants replaced by
+:class:`Param` slots, a normalized tree is the template
+:class:`repro.query.engine.QueryEngine` prepares once per query shape.
+Two construction styles produce identical trees — the fluent builder::
 
     scan("C H R").select(C="CS101").project("H R")
 
@@ -46,9 +47,19 @@ OPERATORS = ("=", "!=", "<=", ">=", "<", ">")
 _BARE_VALUE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:+/-]*")
 
 
+@dataclass(frozen=True)
+class Param:
+    """A template's slot for the query text's ``index``-th constant."""
+
+    index: int
+
+
 def render_value(value: Any) -> str:
     """A value token the parser reads back as the same value: bare for
-    integers and identifier-like strings, single-quoted otherwise."""
+    integers and identifier-like strings, single-quoted otherwise (a
+    template's :class:`Param` renders as ``?index``)."""
+    if isinstance(value, Param):
+        return f"?{value.index}"
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
     text = str(value)
@@ -78,10 +89,6 @@ class Comparison:
                 f"unknown comparison operator {self.op!r} (use one of "
                 f"{', '.join(OPERATORS)})"
             )
-
-    @property
-    def attributes(self) -> AttributeSet:
-        return AttributeSet((self.attr,))
 
     def matches(self, t) -> bool:
         v = t.value(self.attr)
@@ -123,10 +130,6 @@ class Conjunction:
                     f"conjunction parts must be comparisons, got {p!r}"
                 )
 
-    @property
-    def attributes(self) -> AttributeSet:
-        return AttributeSet([p.attr for p in self.parts])
-
     def matches(self, t) -> bool:
         return all(p.matches(t) for p in self.parts)
 
@@ -154,7 +157,8 @@ def make_predicate(parts) -> Predicate:
     """One comparison stays bare; several become a :class:`Conjunction`
     in canonical (sorted, deduplicated) order — predicate order never
     changes a result, so normalizing it here lets differently-written
-    queries share one plan-cache entry."""
+    queries share one plan.  Over a template's :class:`Param` slots no
+    constant decides the order, and no two slots merge."""
     flat: list = []
     for p in parts:
         flat.extend(conjuncts(p))
@@ -200,15 +204,16 @@ class Query:
     def __str__(self) -> str:
         return self.render()
 
-    def scans(self) -> Iterator["Scan"]:
-        """Every scan leaf of the tree (left-to-right)."""
-        if isinstance(self, Scan):
-            yield self
-        elif isinstance(self, (Select, Project)):
-            yield from self.child.scans()
+    def comparisons(self) -> Iterator[Comparison]:
+        """Every comparison of the tree, in the order ``render`` writes
+        them."""
+        if isinstance(self, Select):
+            yield from conjuncts(self.pred)
+        if isinstance(self, (Select, Project)):
+            yield from self.child.comparisons()
         elif isinstance(self, Join):
-            yield from self.left.scans()
-            yield from self.right.scans()
+            yield from self.left.comparisons()
+            yield from self.right.comparisons()
 
 
 @dataclass(frozen=True)
@@ -246,12 +251,7 @@ class Select(Query):
         return self.child.attributes
 
     def render(self) -> str:
-        pred = (
-            self.pred.render()
-            if isinstance(self.pred, (Comparison, Conjunction))
-            else str(self.pred)
-        )
-        return f"select({pred}, {self.child.render()})"
+        return f"select({self.pred.render()}, {self.child.render()})"
 
 
 @dataclass(frozen=True)

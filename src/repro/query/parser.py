@@ -21,17 +21,24 @@ keywords are case-insensitive; attribute names are not.
 raises :class:`~repro.exceptions.QueryError` naming the offending
 position.  ``Query.render()`` output always parses back to an equal
 tree (pinned by the round-trip tests).
+
+For prepared reads, :func:`shape_of` replaces each comparison value
+with ``?`` in one regex pass that splits and decodes values exactly as
+the tokenizer and parser do, so texts of one shape parse alike but for
+their values; ``parse_query(text, slots=True)`` returns the template.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple as PyTuple, Union
+import re
+from typing import List, Optional, Tuple as PyTuple, Union
 
 from repro.dsl import parse_value
 from repro.exceptions import QueryError
 from repro.query.ast import (
     Comparison,
     Join,
+    Param,
     Project,
     Query,
     Scan,
@@ -40,66 +47,53 @@ from repro.query.ast import (
 )
 from repro.schema.attributes import AttributeSet
 
-#: characters that end a bare token
-_DELIMS = set("()[],&=<>!")
-
 _KEYWORDS = ("select", "project", "join")
+
+#: a quoted value (``''`` escapes a quote, so it ends at a lone quote)
+#: and a bare token (up to the next delimiter, space or quote)
+_QUOTED = r"'(?:[^']|'')*'(?!')"
+_BARE = r"[^\s()\[\],&=<>!']+"
+_TOKEN = re.compile(rf"({_QUOTED})|([()\[\],&])|(!=|<=|>=|[=<>])|({_BARE})|(\S)")
+_KINDS = (None, "quoted", "punct", "op", "atom")
+#: a comparison value: the token after an operator (each ends in ``=<>``)
+_VALUE = re.compile(rf"(?<=[=<>])\s*({_QUOTED}|{_BARE})")
+
+
+def _decode(token: str):
+    if token[0] == "'":
+        return token[1:-1].replace("''", "'")
+    return parse_value(token)
+
+
+def shape_of(text: str) -> PyTuple[str, tuple]:
+    """``(shape, constants)``: ``text`` with each comparison value (and
+    the space before it) replaced by ``?``, and the values in text
+    order, decoded as the parser decodes them.  Malformed text gets a
+    shape too; only the parser decides whether it is a query."""
+    values = _VALUE.findall(text)
+    return _VALUE.sub("?", text), tuple([_decode(v) for v in values])
 
 
 def _tokenize(text: str) -> List[PyTuple[int, str, str]]:
     """``(position, kind, text)`` tokens; kind is ``punct``, ``op``,
-    ``atom``, or ``quoted``."""
+    ``atom``, or ``quoted`` (its text unescaped)."""
     out: List[PyTuple[int, str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            j = i + 1
-            buf: List[str] = []
-            while True:
-                if j >= n:
-                    raise QueryError(f"unterminated quote at position {i}")
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":  # '' escapes '
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            out.append((i, "quoted", "".join(buf)))
-            i = j + 1
-            continue
-        if ch in "([,])&":
-            out.append((i, "punct", ch))
-            i += 1
-            continue
-        if ch in "=<>!":
-            if text[i : i + 2] in ("!=", "<=", ">="):
-                out.append((i, "op", text[i : i + 2]))
-                i += 2
-            elif ch == "!":
-                raise QueryError(f"stray '!' at position {i} (did you mean '!='?)")
-            else:
-                out.append((i, "op", ch))
-                i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _DELIMS and text[j] != "'":
-            j += 1
-        out.append((i, "atom", text[i:j]))
-        i = j
+    for m in _TOKEN.finditer(text):
+        tok, i = m.group(), m.start()
+        if m.lastindex == 5:  # a quote never closed, or '!' without '='
+            if tok == "'":
+                raise QueryError(f"unterminated quote at position {i}")
+            raise QueryError(f"stray '!' at position {i} (did you mean '!='?)")
+        out.append((i, _KINDS[m.lastindex], _decode(tok) if m.lastindex == 1 else tok))
     return out
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, constants: Optional[list] = None):
         self.tokens = _tokenize(text)
         self.pos = 0
+        #: when a list, values go here and the tree holds Param slots
+        self.constants = constants
 
     # -- token plumbing ---------------------------------------------------------
 
@@ -131,22 +125,19 @@ class _Parser:
             if word in _KEYWORDS:
                 self._expect("(")
                 if word == "select":
-                    pred = self._predicate()
-                    self._expect(",")
-                    child = self.expr()
-                    self._expect(")")
-                    return Select(child, pred)
-                if word == "project":
-                    attrs = self._attrs(stop={","})
-                    self._expect(",")
-                    child = self.expr()
-                    self._expect(")")
-                    return Project(child, attrs)
-                left = self.expr()
+                    head = self._predicate()
+                elif word == "project":
+                    head = self._attrs(stop={","})
+                else:
+                    head = self.expr()
                 self._expect(",")
-                right = self.expr()
+                child = self.expr()
                 self._expect(")")
-                return Join(left, right)
+                if word == "select":
+                    return Select(child, head)
+                if word == "project":
+                    return Project(child, head)
+                return Join(head, child)
         raise QueryError(
             f"expected '[attrs]', select(…), project(…), or join(…) at "
             f"position {tok[0]}, got {tok[2]!r}"
@@ -181,13 +172,9 @@ class _Parser:
 
     def _predicate(self):
         parts = [self._comparison()]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[1] == "punct" and tok[2] == "&":
-                self.pos += 1
-                parts.append(self._comparison())
-            else:
-                break
+        while self._peek() is not None and self._peek()[1:] == ("punct", "&"):
+            self.pos += 1
+            parts.append(self._comparison())
         return make_predicate(parts)
 
     def _comparison(self) -> Comparison:
@@ -204,27 +191,31 @@ class _Parser:
                 f"position {op[0]}, got {op[2]!r}"
             )
         val = self._next("a value")
-        if val[1] == "quoted":
-            value = val[2]
-        elif val[1] == "atom":
-            value = parse_value(val[2])
-        else:
+        if val[1] not in ("quoted", "atom"):
             raise QueryError(
                 f"expected a value at position {val[0]}, got {val[2]!r}"
             )
+        value = val[2] if val[1] == "quoted" else parse_value(val[2])
+        if self.constants is not None:
+            self.constants.append(value)
+            value = Param(len(self.constants) - 1)
         return Comparison(attr[2], op[2], value)
 
 
-def parse_query(text: Union[str, Query]) -> Query:
+def parse_query(text: Union[str, Query], slots: bool = False):
     """Parse the compact text form into an AST (a :class:`Query` passes
-    through unchanged, so every entry point can accept either)."""
-    if isinstance(text, Query):
+    through unchanged, so every entry point can accept either).
+
+    ``slots=True`` parses a text into ``(template, constants)``
+    instead: the tree holds ``Param(i)`` where the text holds its
+    ``i``-th value, and ``constants[i]`` is that value."""
+    if isinstance(text, Query) and not slots:
         return text
-    parser = _Parser(text)
+    parser = _Parser(text, [] if slots else None)
     q = parser.expr()
     trailing = parser._peek()
     if trailing is not None:
         raise QueryError(
             f"trailing input at position {trailing[0]}: {trailing[2]!r}"
         )
-    return q
+    return (q, tuple(parser.constants)) if slots else q

@@ -1,16 +1,21 @@
-"""Query normalization, validation, and physical planning.
+"""Query validation, normalization, and physical planning.
 
-The pipeline is ``AST → normalize → route → physical plan``:
+The pipeline is ``template → validate → normalize → canonical → plan``,
+run once per query shape and schema epoch (the engine caches it; see
+:mod:`repro.query.engine`).  A template's comparison values are
+:class:`~repro.query.ast.Param` slots, so nothing here sees a constant.
 
 1. **Normalize** (:func:`normalize`) rewrites the tree into a canonical
-   form that serves as the plan-cache key.  The rules are the classic
-   ones — merge stacked selections, push selections through projections
-   and into the sides of joins, collapse stacked projections, drop
-   identity projections, prune join inputs down to the columns the rest
-   of the query can see, and order commutative join operands and
-   conjunct lists canonically.  Because every predicate is a
-   conjunction of *single-attribute* comparisons, pushdown is total:
-   in a normalized tree every ``Select`` sits directly on a ``Scan``.
+   form.  The rules are the classic ones — merge stacked selections,
+   push selections through projections and into the sides of joins,
+   collapse stacked projections, drop identity projections, prune join
+   inputs down to the columns the rest of the query can see, and order
+   commutative join operands and conjunct lists canonically.  Because
+   every predicate is a conjunction of *single-attribute* comparisons,
+   pushdown is total: in a normalized tree every ``Select`` sits
+   directly on a ``Scan``.  :func:`canonical` then renumbers the slots
+   in render order, so spellings that differ only in conjunct order
+   share one template.
 
    One rewrite is deliberately absent: a projection never changes a
    scan's target.  ``project(Y, [X])`` asks for the ``Y``-values of
@@ -21,10 +26,10 @@ The pipeline is ``AST → normalize → route → physical plan``:
 2. **Route** (:func:`plan`): each leaf becomes a :class:`LeafPlan`
    carrying the scan target, the equality bindings the executor pushes
    into the tableau's per-attribute value indexes, the residual
-   (non-equality) filter, and the routing decision the service made for
-   that target — ``shards`` on the sharded service, naming the shards
-   the target's window plan reads, ``tableau`` on the unsharded
-   service.
+   (non-equality) filter — both over slots — and the routing decision
+   the service made for that target: ``shards`` on the sharded
+   service, naming the shards the target's window plan reads,
+   ``tableau`` on the unsharded service.
 
 The physical plan records the sorted union of participating shard
 names; together with the per-shard version stamps it forms the
@@ -34,12 +39,14 @@ result-cache key (see :mod:`repro.query.engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple as PyTuple, Union
+from typing import Any, Callable, Optional, Tuple as PyTuple, Union
 
 from repro.exceptions import QueryError
 from repro.query.ast import (
     Comparison,
+    Conjunction,
     Join,
+    Param,
     Project,
     Query,
     Scan,
@@ -53,42 +60,33 @@ from repro.schema.attributes import AttributeSet
 # validation
 
 
+def _contained(want: AttributeSet, have: AttributeSet, message: str) -> None:
+    if not want.issubset(have):
+        named, extra, known = (" ".join(s.names) for s in (want, want - have, have))
+        raise QueryError(message.format(want=named, extra=extra, have=known))
+
+
 def validate(q: Query, universe: AttributeSet) -> None:
     """Reject trees that are structurally unanswerable: a scan outside
     the universe, a projection not contained in its input, a predicate
     over attributes its input does not produce."""
     if isinstance(q, Scan):
-        if not q.attrs.issubset(universe):
-            extra = q.attrs - universe
-            raise QueryError(
-                f"scan [{' '.join(q.attrs.names)}] uses attributes outside "
-                f"the universe: {' '.join(extra.names)}"
-            )
-        return
-    if isinstance(q, Select):
+        _contained(q.attrs, universe,
+                   "scan [{want}] uses attributes outside the universe: {extra}")
+    elif isinstance(q, Select):
         validate(q.child, universe)
-        pred_attrs = AttributeSet([c.attr for c in conjuncts(q.pred)])
-        if not pred_attrs.issubset(q.child.attributes):
-            extra = pred_attrs - q.child.attributes
-            raise QueryError(
-                f"selection filters on {' '.join(extra.names)} but its "
-                f"input only produces {' '.join(q.child.attributes.names)}"
-            )
-        return
-    if isinstance(q, Project):
+        _contained(AttributeSet([c.attr for c in conjuncts(q.pred)]),
+                   q.child.attributes,
+                   "selection filters on {extra} but its input only produces {have}")
+    elif isinstance(q, Project):
         validate(q.child, universe)
-        if not q.attrs.issubset(q.child.attributes):
-            extra = q.attrs - q.child.attributes
-            raise QueryError(
-                f"projection keeps {' '.join(extra.names)} but its input "
-                f"only produces {' '.join(q.child.attributes.names)}"
-            )
-        return
-    if isinstance(q, Join):
+        _contained(q.attrs, q.child.attributes,
+                   "projection keeps {extra} but its input only produces {have}")
+    elif isinstance(q, Join):
         validate(q.left, universe)
         validate(q.right, universe)
-        return
-    raise QueryError(f"not a query node: {q!r}")
+    else:
+        raise QueryError(f"not a query node: {q!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,7 @@ def _apply_project(child: Query, attrs: AttributeSet) -> Query:
 
 
 def normalize(q: Query) -> Query:
-    """The canonical form used as the plan-cache key (idempotent)."""
+    """The canonical form of a tree (idempotent)."""
     if isinstance(q, Scan):
         return q
     if isinstance(q, Select):
@@ -160,6 +158,34 @@ def normalize(q: Query) -> Query:
     if isinstance(q, Join):
         return _order_join(normalize(q.left), normalize(q.right))
     raise QueryError(f"not a query node: {q!r}")
+
+
+def substitute(node, value: Callable[[Any], Any]):
+    """A copy of a query tree or predicate whose comparison values are
+    ``value(v)``; conjunct order is kept as it is."""
+    if isinstance(node, Comparison):
+        return Comparison(node.attr, node.op, value(node.value))
+    if isinstance(node, Conjunction):
+        return Conjunction(tuple([substitute(c, value) for c in node.parts]))
+    if isinstance(node, Select):
+        return Select(substitute(node.child, value), substitute(node.pred, value))
+    if isinstance(node, Project):
+        return Project(substitute(node.child, value), node.attrs)
+    if isinstance(node, Join):
+        return Join(substitute(node.left, value), substitute(node.right, value))
+    return node
+
+
+def canonical(template: Query) -> PyTuple[Query, PyTuple[int, ...]]:
+    """``(canon, order)``: the normalized template with its slots
+    renumbered in render order (a slot pushed into both sides of a join
+    keeps one number), and for each new slot the old one it reads."""
+    norm = normalize(template)
+    renumber = {}
+    for c in norm.comparisons():
+        renumber.setdefault(c.value.index, len(renumber))
+    canon = substitute(norm, lambda p: Param(renumber[p.index]))
+    return canon, tuple(renumber)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +199,9 @@ class LeafPlan:
     ``bindings`` are the equality conjuncts the executor answers from
     the tableau's per-attribute value indexes instead of scanning the
     full window; ``residual`` is whatever predicate remains (orderings,
-    ``!=``, or an equality contradicting a binding on the same
-    attribute, which correctly filters to empty).  ``route`` is
+    ``!=``, or a second equality on a bound attribute, which keeps the
+    rows only when both constants are equal).  In a plan both hold
+    slots; :meth:`bind` puts a read's constants in.  ``route`` is
     ``"shards"`` or ``"tableau"``; ``shards`` names the shards this
     leaf reads (``("*",)`` on unsharded services).
     """
@@ -184,6 +211,13 @@ class LeafPlan:
     residual: Optional[Union[Comparison, Any]]
     route: str
     shards: PyTuple[str, ...]
+
+    def bind(self, constants) -> "LeafPlan":
+        """This leaf with each slot replaced by its constant."""
+        value = lambda p: constants[p.index]  # noqa: E731
+        residual = None if self.residual is None else substitute(self.residual, value)
+        bindings = tuple([(a, value(p)) for a, p in self.bindings])
+        return LeafPlan(self.target, bindings, residual, self.route, self.shards)
 
     def render(self) -> str:
         bits = [f"[{' '.join(self.target.names)}] via {self.route}"]
@@ -214,7 +248,7 @@ PlanNode = Union[LeafPlan, ProjectPlan, JoinPlan]
 
 @dataclass(frozen=True)
 class PhysicalPlan:
-    """An executable plan: the normalized tree it came from, the
+    """An executable plan: the canonical template it came from, the
     operator tree with routed leaves, and the sorted union of
     participating shard names (the stamp vector the result cache keys
     on)."""
@@ -244,7 +278,7 @@ def _split_leaf(q: Query) -> PyTuple[Scan, PyTuple[PyTuple[str, Any], ...], Any]
 
 
 def plan(q: Query, route_fn) -> PhysicalPlan:
-    """Build the physical plan for a *normalized* tree.
+    """Build the physical plan for a *normalized* template.
 
     ``route_fn(target) -> (route, shard_names)`` is the service's
     routing hook: it names the shards of the target's window plan

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 from typing import Tuple as PyTuple
 
 from repro.deps.fdset import FDSet
@@ -88,6 +88,8 @@ class StartPlan:
     slots: Mapping[str, int]
     #: target attribute outside the start → its backward route
     routes: Mapping[str, Route]
+    #: strict starts: an extended row's target values, in natural order
+    project: Callable[[list], tuple]
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def compile_plan(
                 kept.remove(name)
                 changed = True
     plans = tuple(
-        _start_plan(name, *starts[name], x, lookups) for name in kept
+        _start_plan(name, *starts[name], target.names, lookups) for name in kept
     )
     shards = {p.shard for p in plans}
     shards.update(lk.shard for p in plans for lk in p.lookups)
@@ -168,10 +170,10 @@ def _start_plan(
     name: str,
     attrs: PyTuple[str, ...],
     closure: Set[str],
-    x: Set[str],
+    names: PyTuple[str, ...],
     lookups: Sequence[Lookup],
 ) -> StartPlan:
-    own = set(attrs)
+    x, own = set(names), set(attrs)
     usable = [lk for lk in lookups if closure.issuperset(lk.lhs)]
     # backward from X: the lookups that can supply a needed attribute
     need = x - own
@@ -229,9 +231,11 @@ def _start_plan(
         found = route(a, frozenset())
         if found is not _NO_ROUTE:
             routes[a] = found
+    cols = [slots[a] for a in names] if strict else []
+    project = itemgetter(*cols) if len(cols) > 1 else lambda v: tuple([v[i] for i in cols])
     return StartPlan(
         name, attrs, tuple(order), strict, tuple(keys), tuple(takes), slots,
-        routes,
+        routes, project,
     )
 
 
@@ -284,12 +288,7 @@ def run_plan(
         if not start.strict:
             out += _fixpoint_rows(start, maps, rows, names, bindings)
             continue
-        steps = list(zip(maps, start.keys, start.takes))
-        cols = tuple(start.slots[a] for a in names)
-        project = (
-            itemgetter(*cols) if len(cols) > 1
-            else lambda vals, cols=cols: tuple([vals[i] for i in cols])
-        )
+        steps, project = list(zip(maps, start.keys, start.takes)), start.project
         checks = [(start.slots[a], v) for a, v in bindings]
         for t in rows:
             vals = list(t.values)

@@ -421,10 +421,7 @@ class WeakInstanceServer(WindowQueryAPI):
         self.reads_served += 1
         with self._plan_lock:
             plan = self.service._plan(target)
-        with ExitStack() as stack:
-            for name in plan.shards:
-                stack.enter_context(self._locks[name])
-            return self.service._window(target)
+        return self._under_locks(plan.shards, self.service._window, target)
 
     def query(self, query):
         """A relational query under the same locking discipline as
@@ -441,25 +438,29 @@ class WeakInstanceServer(WindowQueryAPI):
         return self._locked_query(query, explain=True)
 
     def _locked_query(self, query, explain: bool):
-        from repro.query.parser import parse_query
-
-        q = parse_query(query)
         self.reads_served += 1
-        targets = {s.attrs for s in q.scans()}
-        with self._plan_lock:
-            names = {n for t in targets for n in self.service._plan(t).shards}
+        engine = self.service._query_engine()
+        bound = engine.bind(query, prepare=False)
+        if bound is None:  # a new shape: plans compile under the lock
+            with self._plan_lock:
+                bound = engine.bind(query)
         run = self.service.explain if explain else self.service.query
-        with ExitStack() as stack:
-            for name in sorted(names):
-                stack.enter_context(self._locks[name])
-            return run(q)
+        return self._under_locks(bound.prepared.plan.participants, run, bound)
+
+    def _under_locks(self, names, call, *args):
+        """``call(*args)`` holding the shard locks of sorted ``names``."""
+        locks = [self._locks[name] for name in names]
+        for lock in locks:
+            lock.acquire()
+        try:
+            return call(*args)
+        finally:
+            for lock in reversed(locks):
+                lock.release()
 
     def state(self):
         """A consistent cross-shard snapshot of the stored state."""
-        with ExitStack() as stack:
-            for name in sorted(self._locks):
-                stack.enter_context(self._locks[name])
-            return self.service.state()
+        return self._under_locks(sorted(self._locks), self.service.state)
 
     def snapshot(self) -> None:
         """Force a snapshot of every shard (services with a store

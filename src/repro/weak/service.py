@@ -149,7 +149,7 @@ class ServiceStats:
     bulk_loads: int = 0
     #: relational queries served (:meth:`WindowQueryAPI.query`)
     queries: int = 0
-    #: queries whose normalized AST already had a physical plan
+    #: queries whose shape (or its template) already had a plan
     query_plan_cache_hits: int = 0
     #: queries answered from the version-stamped result cache
     query_result_cache_hits: int = 0

@@ -2120,9 +2120,6 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             self.stats.window_queries += 1
             return one_shot_window(self._epoch_state(version), view.fds, target)
         plan = self._plan(AttributeSet(attrset))
-        # only the plan's shards can contribute: quarantines elsewhere
-        # do not block this window
-        self._check_available(plan.shards)
         self.stats.window_queries += 1
         if plan.local:
             self.stats.shard_windows += 1
@@ -2143,13 +2140,14 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     # -- query-engine hooks ------------------------------------------------------
 
     def _query_route(self, target: AttributeSet) -> PyTuple[str, PyTuple[str, ...]]:
-        """Every scan runs its target's plan; the result's validity
-        depends on the plan's shards only."""
+        """Every scan runs its target's plan, over the plan's shards."""
         plan = self._plan(target)  # also the universe check
-        self._check_available(plan.shards)
         return ("shards", plan.shards)
 
     def _query_stamps(self, names: Sequence[str]) -> PyTuple[int, ...]:
+        # asked on every window and query run, cached or not: only the
+        # plan's shards block it, and no cache reads around them
+        self._check_available(names)
         return tuple([self._shards[n].version for n in names])
 
     def _query_scan(

@@ -202,6 +202,35 @@ class TestRetryAndQuarantine:
             with pytest.raises(ShardQuarantinedError):
                 svc.representative()
 
+    def test_quarantine_blocks_a_cached_query(self, tmp_path):
+        """A query answered before the quarantine has its plan and its
+        result cached; neither may read around the quarantine — the
+        same text, another constant of its shape and its explain all
+        raise, while a cached query over healthy shards still answers."""
+        schema, fds = chain_schema(3)
+        io = FaultyIO()
+        with DurableShardedService(
+            schema, fds, tmp_path / "d", io=io, io_backoff=0.0
+        ) as svc:
+            svc.insert("R1", ("a", "b"))
+            svc.insert("R2", ("b", "c"))
+            svc.insert("R3", ("c", "d"))
+            blocked = "select(A2='b', [A2 A3])"
+            healthy = "select(A3='c', [A3 A4])"
+            assert [tuple(t.values) for t in svc.query(blocked)] == [("b", "c")]
+            assert [tuple(t.values) for t in svc.query(healthy)] == [("c", "d")]
+            io.fail("wal.fsync", errno.EIO, match="R2", times=None)
+            with pytest.raises(ShardQuarantinedError):
+                svc.insert("R2", ("b2", "c2"))
+            for text in (blocked, "select(A2='zz', [A2 A3])"):
+                with pytest.raises(ShardQuarantinedError):
+                    svc.query(text)
+                with pytest.raises(ShardQuarantinedError):
+                    svc.explain(text)
+            got = svc.query(healthy)
+            assert [tuple(t.values) for t in got] == [("c", "d")]
+            assert svc.stats.query_result_cache_hits >= 1
+
 
 FAULT_MATRIX = [
     pytest.param("wal.write", errno.EIO, id="eio-wal.write"),

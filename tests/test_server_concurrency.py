@@ -10,14 +10,19 @@ asserting prefix-consistent (torn-free) reads and monotone version
 stamps, then a restart proving the acknowledged history survived.
 """
 
+import random
 import shutil
+import sys
+import threading
 
 import pytest
 
+from repro.data.states import DatabaseState
+from repro.query import QueryEngine, evaluate_naive
 from repro.weak.durable import DurableShardedService, DurableUnavailableError
 from repro.weak.server import ServerStoppedError, WeakInstanceServer
 from repro.weak.sharded import ShardedWeakInstanceService
-from repro.workloads.schemas import disjoint_star_schema
+from repro.workloads.schemas import chain_schema, disjoint_star_schema
 from repro.workloads.states import mixed_stream_workload
 
 from tests.harness.drivers import run_multi_writer_stress, wal_ops
@@ -115,6 +120,51 @@ class TestServerEquivalence:
         server = WeakInstanceServer(ShardedWeakInstanceService(schema, fds))
         with pytest.raises(ServerStoppedError):
             server.insert("R1", ("k", "a", "b"))
+
+    def test_readers_share_a_small_prepared_cache(self):
+        """Four readers through one engine whose caches hold 4 entries,
+        over more shapes than that, with a thread switch forced every
+        microsecond: entries are evicted under each other's feet, and
+        every answer still equals the oracle on the unchanged state."""
+        schema, fds = chain_schema(4)
+        rows = {f"R{i}": [(f"v{i}-{c}", f"v{i + 1}-{c}") for c in range(6)]
+                for i in range(1, 5)}
+        state = DatabaseState(schema, rows)
+        service = ShardedWeakInstanceService.from_state(state, fds)
+        service._engine = QueryEngine(service, plan_cache_size=4, result_cache_size=4)
+        texts = [
+            f"select(A{i}='v{i}-{c}', [A{i} A{j}])"
+            for i, j in ((1, 3), (2, 4), (3, 5), (1, 5))
+            for c in range(3)
+        ] + ["[A2 A3]", "join([A1 A2], [A2 A3])", "project(A1, [A1 A4])"]
+        texts += [f"select(A2 != 'v2-{c}', [A1 A2])" for c in range(3)]
+        expected = {text: evaluate_naive(text, state, fds) for text in texts}
+        errors, mismatches = [], []
+
+        def reader(seed):
+            order = texts * 8
+            random.Random(seed).shuffle(order)
+            try:
+                for text in order:
+                    if server.query(text) != expected[text]:
+                        mismatches.append(text)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WeakInstanceServer(service, workers=2) as server:
+                threads = [threading.Thread(target=reader, args=(s,)) for s in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not mismatches, mismatches
+        assert len(service._engine._plan_cache) <= 4
 
 
 class TestDurableServing:
