@@ -159,12 +159,15 @@ def test_sync_ship_overhead(tmp_path):
     )
 
 
-def test_failover_latency(tmp_path):
+def test_failover_latency(tmp_path, monkeypatch):
+    # the dead disk quarantines after one immediate retry
+    monkeypatch.setattr(ReplicatedShardedService, "IO_RETRIES", 1)
+    monkeypatch.setattr(ReplicatedShardedService, "IO_BACKOFF", 0.0)
     schema, fds = disjoint_star_schema(N_SCHEMES)
     primary_io = FaultyIO()
     service = ReplicatedShardedService(
         schema, fds, tmp_path / "store", replicas=[tmp_path / "r1"],
-        io=primary_io, io_retries=1, io_backoff=0.0,
+        io=primary_io,
     )
     try:
         _elapsed, accepted = _run_ingest(service)

@@ -124,7 +124,7 @@ def _run_serving(workers, root, skip=(), quarantine=None):
     if quarantine is not None:
         io = FaultyIO()
         io.fail("wal.fsync", match=quarantine, times=None)
-        options.update(io=io, io_backoff=0.0)
+        options.update(io=io)
     service = DurableShardedService(schema, fds, root, **options)
     latencies, errors = [], []
     threads = []
@@ -268,10 +268,12 @@ def test_throughput_scales_with_workers(tmp_path):
     )
 
 
-def test_degraded_mode_keeps_healthy_throughput(tmp_path):
+def test_degraded_mode_keeps_healthy_throughput(tmp_path, monkeypatch):
     """One quarantined shard must not tax the healthy ones: same
     clients, same ops, one sick shard in the store — recorded next to
-    the matched all-healthy baseline."""
+    the matched all-healthy baseline.  The sick shard's failed fsyncs
+    retry without sleeping."""
+    monkeypatch.setattr(DurableShardedService, "IO_BACKOFF", 0.0)
     sick = "R1"
     healthy, final_h = _run_serving(4, tmp_path / "healthy", skip={sick})
     degraded, final_d = _run_serving(4, tmp_path / "degraded", quarantine=sick)

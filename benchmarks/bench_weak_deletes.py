@@ -11,10 +11,13 @@ delete costs its footprint instead of a rebuild.
 
 This benchmark runs a 10-scheme chain with a ~11k-tuple base state
 through a delete-heavy stream (100 deletes evenly interleaved with 200
-window queries) twice: once with scoped deletes (the default) and once
-with ``scoped_deletes=False``, which restores the old
-invalidate-and-rebuild path exactly — one full rebuild per delete.
-Both sides must produce identical answers; the speedup is recorded in
+window queries) twice: once through the service and once through the
+old invalidate-and-rebuild path — the state kept in a
+:class:`~repro.core.maintenance.MaintenanceChecker`, the chased
+tableau thrown away on every delete and re-derived once by the
+one-shot :func:`repro.weak.representative.representative_instance`
+before the next query, which serves windows from it.  Both sides must
+produce identical answers; the speedup is recorded in
 the ``deletes_vs_rebuild`` section of ``BENCH_weak.json`` (acceptance:
 ≥ 5×, with the scoped service performing at most 2 rebuilds).
 
@@ -26,6 +29,9 @@ rebuild counters, not the wall-clock ratio.
 import os
 import time
 
+from repro.core.maintenance import MaintenanceChecker
+from repro.schema.attributes import AttributeSet
+from repro.weak.representative import representative_instance
 from repro.weak.service import WeakInstanceService
 from repro.workloads.schemas import chain_schema
 from repro.workloads.states import delete_heavy_stream_workload
@@ -40,13 +46,10 @@ else:
     N_SCHEMES, N_BASE, N_DELETES, N_QUERIES, DOMAIN = 10, 1_300, 100, 200, 20_000
 
 
-def _run(schema, fds, base, ops, scoped: bool):
-    """Drive the stream through a service; ``scoped=False`` is the old
-    invalidate-and-rebuild delete path (the baseline)."""
+def _run_scoped(schema, fds, base, ops):
+    """Drive the stream through the service (scoped deletes)."""
     t0 = time.perf_counter()
-    service = WeakInstanceService(
-        schema, fds, method="local", scoped_deletes=scoped
-    )
+    service = WeakInstanceService(schema, fds, method="local")
     service.load(base)
     # force the initial chase before the stream (the local method defers
     # it to the first query) so a leading delete is already scoped
@@ -60,6 +63,34 @@ def _run(schema, fds, base, ops, scoped: bool):
         else:
             answers.append(frozenset(service.window(op.attributes).tuples))
     return answers, time.perf_counter() - t0, service.stats
+
+
+def _run_rebuild(schema, fds, base, ops):
+    """The invalidate-and-rebuild baseline: identical state maintenance
+    (local O(1) checks), but every update drops the chased tableau and
+    the next query re-chases the current state once.  Returns the
+    number of chases as its rebuild count (the initial one included,
+    as the service counts it)."""
+    t0 = time.perf_counter()
+    checker = MaintenanceChecker(schema, fds, method="local")
+    checker.load(base)
+    tableau = representative_instance(checker.state(), fds)
+    rebuilds = 1
+    answers = []
+    for op in ops:
+        if op.kind == "insert":
+            checker.insert(op.scheme, op.values)
+            tableau = None
+        elif op.kind == "delete":
+            checker.delete(op.scheme, op.values)
+            tableau = None
+        else:
+            if tableau is None:
+                tableau = representative_instance(checker.state(), fds)
+                rebuilds += 1
+            facts = tableau.total_projection(AttributeSet(op.attributes))
+            answers.append(frozenset(facts.tuples))
+    return answers, time.perf_counter() - t0, rebuilds
 
 
 def test_scoped_deletes_vs_rebuild_stream():
@@ -76,8 +107,10 @@ def test_scoped_deletes_vs_rebuild_stream():
     if not TINY:
         assert base.total_tuples() >= 10_000
 
-    scoped_answers, t_scoped, scoped_stats = _run(schema, F, base, ops, scoped=True)
-    rebuilt_answers, t_rebuild, rebuild_stats = _run(schema, F, base, ops, scoped=False)
+    scoped_answers, t_scoped, scoped_stats = _run_scoped(schema, F, base, ops)
+    rebuilt_answers, t_rebuild, baseline_rebuilds = _run_rebuild(
+        schema, F, base, ops
+    )
 
     assert scoped_answers == rebuilt_answers, (
         "scoped-delete service diverged from the invalidate-and-rebuild baseline"
@@ -88,7 +121,7 @@ def test_scoped_deletes_vs_rebuild_stream():
     # rebuild per delete
     assert scoped_stats.rebuilds <= 2, scoped_stats
     assert scoped_stats.scoped_rechases >= N_DELETES - 2, scoped_stats
-    assert rebuild_stats.rebuilds >= int(N_DELETES * 0.8), rebuild_stats
+    assert baseline_rebuilds >= int(N_DELETES * 0.8), baseline_rebuilds
 
     speedup = t_rebuild / t_scoped
     avg_affected = (
@@ -100,7 +133,7 @@ def test_scoped_deletes_vs_rebuild_stream():
         f"weak-deletes: rows={base.total_tuples()} deletes={N_DELETES} "
         f"queries={N_QUERIES} scoped={t_scoped:.2f}s rebuild={t_rebuild:.2f}s "
         f"speedup={speedup:.1f}x (scoped_rechases={scoped_stats.scoped_rechases} "
-        f"rebuilds={scoped_stats.rebuilds} vs {rebuild_stats.rebuilds}; "
+        f"rebuilds={scoped_stats.rebuilds} vs {baseline_rebuilds}; "
         f"avg_affected={avg_affected:.1f} max={scoped_stats.affected_rows_max}; "
         f"windows_retained={scoped_stats.windows_retained})"
     )
@@ -121,7 +154,7 @@ def test_scoped_deletes_vs_rebuild_stream():
                 "affected_rows_avg": round(avg_affected, 1),
                 "windows_retained": scoped_stats.windows_retained,
             },
-            "baseline_rebuilds": rebuild_stats.rebuilds,
+            "baseline_rebuilds": baseline_rebuilds,
             # coarse rounding on purpose: this file is committed, and
             # millisecond noise should not dirty it on every re-run
             "scoped_seconds": round(t_scoped, 1),

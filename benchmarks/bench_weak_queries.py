@@ -21,6 +21,8 @@ fails fast.
 import os
 import time
 
+from repro.chase.engine import chase_fds
+from repro.chase.tableau import ChaseTableau
 from repro.core.maintenance import MaintenanceChecker
 from repro.weak.representative import window
 from repro.weak.service import WeakInstanceService
@@ -73,6 +75,18 @@ def _run_rebuild(schema, fds, base, ops):
     return answers, time.perf_counter() - t0
 
 
+def _cold_load_row_at_a_time(schema, fds, base):
+    """The service's cold load with the bulk kernel pinned off: the same
+    validated load, then a row-major tableau with the merge log on (so
+    deletes could be scoped) chased by the row-at-a-time engine."""
+    checker = MaintenanceChecker(schema, fds, method="local")
+    checker.load(base)
+    tableau = ChaseTableau.from_state(checker.state(), columnar=False)
+    tableau.enable_merge_log()
+    result = chase_fds(tableau, fds, bulk=False)
+    assert result.consistent
+
+
 def test_service_vs_rebuild_stream():
     schema, F = chain_schema(N_SCHEMES)
     base, ops = mixed_stream_workload(
@@ -97,8 +111,8 @@ def test_service_vs_rebuild_stream():
 
     # cold load, measured on its own so the win of the bulk kernel is
     # visible instead of folded into the stream total: load the base
-    # state and force the first chased tableau, with the default bulk
-    # path and with it pinned off
+    # state and force the first chased tableau, through the service's
+    # bulk path and through the row-at-a-time engine
     t0 = time.perf_counter()
     svc_bulk = WeakInstanceService(schema, F, method="local")
     svc_bulk.load(base)
@@ -108,11 +122,8 @@ def test_service_vs_rebuild_stream():
         "the bulk kernel must be the default cold-load path"
     )
     t0 = time.perf_counter()
-    svc_row = WeakInstanceService(schema, F, method="local", bulk_loads=False)
-    svc_row.load(base)
-    svc_row.representative()
+    _cold_load_row_at_a_time(schema, F, base)
     t_cold_row = time.perf_counter() - t0
-    assert svc_row.stats.bulk_loads == 0
 
     emit(
         f"weak-queries: rows={base.total_tuples()} ops={len(ops)} "
@@ -143,7 +154,7 @@ def test_service_vs_rebuild_stream():
             "rebuild_seconds": round(t_rebuild, 1),
             "speedup": round(speedup),
             # cold load measured on its own (load + first chased
-            # tableau); the bulk kernel is the default path, the
+            # tableau); the bulk kernel is the service's path, the
             # row-at-a-time figure is the same load with it pinned off
             "cold_load_seconds": round(t_cold_bulk, 2),
             "cold_load_row_seconds": round(t_cold_row, 2),

@@ -421,21 +421,6 @@ class ChaseTableau:
                     tab.add_padded(scheme.attributes, t, origin)
         return tab
 
-    @classmethod
-    def from_relation(cls, universe: AttrsLike, relation: RelationInstance,
-                      scheme_name: str = "r", columnar: bool = True) -> "ChaseTableau":
-        tab = cls(universe)
-        origin = RowOrigin("state", scheme_name)
-        if columnar:
-            ingest = tab.bulk_ingest()
-            for t in relation:
-                ingest.add_padded(relation.attributes, t, origin)
-            ingest.finish()
-        else:
-            for t in relation:
-                tab.add_padded(relation.attributes, t, origin)
-        return tab
-
     def bulk_ingest(self) -> "BulkIngest":
         """Column-major batch construction (must be the first thing
         that ever touches the tableau; see :class:`BulkIngest`)."""
@@ -1272,17 +1257,27 @@ class ChaseTableau:
         """
         target = AttributeSet(attrset)
         idxs = [self._colidx[a] for a in target]
-        resolve = self.symbols.resolve_value
+        find = self.symbols.find
+        const = self.symbols._const
         retracted = self._retracted
         rows = []
         seen: Set[PyTuple[Any, ...]] = set()
         for i, row in enumerate(self._rows):
             if i in retracted:
                 continue
-            vals = tuple(resolve(row[i2]) for i2 in idxs)
-            if vals not in seen and all(not is_null(v) for v in vals):
-                seen.add(vals)
-                rows.append(vals)
+            # a row leaves at its first non-constant column, so no
+            # labelled null is built for a row the answer drops
+            vals = []
+            for c in idxs:
+                v = const.get(find(row[c]), _CONST_SENTINEL)
+                if v is _CONST_SENTINEL or isinstance(v, Null):
+                    break
+                vals.append(v)
+            else:
+                key = tuple(vals)
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(key)
         return RelationInstance(target, rows)
 
     def total_projection_matching(

@@ -71,8 +71,8 @@ deterministically.
 **Fault isolation.**  Theorem 3 makes the shards independent failure
 domains, and the log honors that end to end.  An :class:`OSError`
 escaping a shard's WAL or snapshot path is retried with bounded,
-jittered exponential backoff (``io_retries`` / ``io_backoff``); a
-persistent failure confines the damage to that shard:
+jittered exponential backoff (``ShardedWeakInstanceService.IO_RETRIES``
+/ ``IO_BACKOFF``); a persistent failure confines the damage to that shard:
 
 * ``ENOSPC`` **degrades** the shard to read-only — reads keep serving
   the in-memory state, writes raise

@@ -11,38 +11,29 @@ constants form the derivable ``X``-facts (the *total projection* or
 For FDs embedded in the schema the FD-only chase suffices (Lemma 4),
 so every query here is polynomial.
 
-The functions below are one-shot: each call builds a throwaway
-:class:`~repro.weak.service.WeakInstanceService` over the state, which
-chases ``I(p)`` exactly once — through the column-major bulk kernel
-(:mod:`repro.chase.bulk`) whenever the state is big enough, like every
-other from-scratch chase.  To answer *many* queries against an
-evolving state, hold on to a service instead of re-calling these (that
-is precisely the rebuild-per-query baseline the service's benchmark
-beats).
+The functions below are one-shot: each call chases ``I(p)`` once with
+:func:`repro.chase.engine.chase_state`, which routes a big enough state
+through the column-major bulk kernel (:mod:`repro.chase.bulk`) like
+every other from-scratch chase.  The merge log stays off: the tableau
+never serves a retraction.  To answer *many* queries against an
+evolving state, hold on to a
+:class:`~repro.weak.service.WeakInstanceService` instead of re-calling
+these (that is precisely the rebuild-per-query baseline the service's
+benchmarks beat).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Union
 
+from repro.chase.engine import chase_state
 from repro.chase.tableau import ChaseTableau
 from repro.data.relations import RelationInstance
 from repro.data.states import DatabaseState
 from repro.deps.fd import FD
-from repro.deps.fdset import FDSet
+from repro.deps.fdset import FDSet, as_fdset
+from repro.exceptions import InconsistentStateError
 from repro.schema.attributes import AttributeSet, AttrsLike
-from repro.weak.service import WeakInstanceService
-
-
-def _one_shot(state, fds) -> WeakInstanceService:
-    """A throwaway service for a single question.  Scoped deletes are
-    off: the tableau will never serve a retraction, so it skips the
-    merge-log cost and keeps the one-shot path at exactly the chase's
-    price (these functions double as the rebuild-per-query baseline in
-    the benchmarks, which must not pay for machinery it cannot use)."""
-    return WeakInstanceService.from_state(
-        state, fds, method="chase", scoped_deletes=False
-    )
 
 
 def representative_instance(
@@ -53,7 +44,12 @@ def representative_instance(
     Raises :class:`~repro.exceptions.InconsistentStateError` when the
     state does not satisfy the FDs (no weak instance exists).
     """
-    return _one_shot(state, fds).representative()
+    result = chase_state(state, as_fdset(fds))
+    if not result.consistent:
+        raise InconsistentStateError(
+            f"state is not satisfying: {result.contradiction}"
+        )
+    return result.tableau
 
 
 def window(
@@ -61,7 +57,9 @@ def window(
 ) -> RelationInstance:
     """The derivable ``X``-facts: the ``X``-total projection of the
     representative instance."""
-    return _one_shot(state, fds).window(AttributeSet(attrset))
+    return representative_instance(state, fds).total_projection(
+        AttributeSet(attrset)
+    )
 
 
 def derivable(
@@ -71,4 +69,9 @@ def derivable(
 ) -> bool:
     """Is the fact (an attribute→value mapping) derivable from the
     state under the dependencies?"""
-    return _one_shot(state, fds).derivable(fact)
+    target = AttributeSet(list(fact))
+    wanted = tuple(fact[a] for a in target)
+    return any(
+        tuple(t.value(a) for a in target) == wanted
+        for t in window(state, fds, target)
+    )

@@ -24,33 +24,30 @@ keeps the chased representative instance **live** across updates:
   re-runs the incremental fixpoint over just the affected rows
   (:meth:`~repro.chase.engine.IncrementalFDChaser.rechase_scoped`).
   Cost per delete is the footprint the row actually had.  When the
-  affected set exceeds ``delete_rebuild_fraction`` of the live rows —
-  an adversarial delete whose footprint approaches the tableau — the
-  service falls back to the old invalidate-and-rebuild path, so the
-  worst case never exceeds one rebuild.  ``scoped_deletes=False``
-  restores the old behaviour wholesale — and skips the merge log
-  entirely, so a service that will never scope a delete (the delete
-  benchmark's baseline, the one-shot helpers in
-  :mod:`repro.weak.representative`) pays nothing for the machinery.
+  affected set exceeds :attr:`LiveTableau.DELETE_REBUILD_FRACTION` of
+  the live rows — an adversarial delete whose footprint approaches the
+  tableau — the service falls back to invalidate-and-rebuild, so the
+  worst case never exceeds one rebuild.
 * **Queries** (:meth:`window`, :meth:`derivable`) read the live
   tableau's total projection through a per-``AttributeSet`` cache.
   Every entry belongs to the current tableau version: any version bump
   prunes the superseded entries (no dead-version accumulation over
   long streams), and the cache is additionally LRU-bounded by
-  ``window_cache_limit``.  A scoped delete invalidates **selectively**:
-  a cached window survives when none of its attributes touch a
-  dissolved class's columns and the retracted row's projection is
-  either non-total on it or still produced by a surviving row.
+  :attr:`LiveTableau.WINDOW_CACHE_LIMIT`.  A scoped delete invalidates
+  **selectively**: a cached window survives when none of its
+  attributes touch a dissolved class's columns and the retracted row's
+  projection is either non-total on it or still produced by a
+  surviving row.
 
 * **Cold loads and rebuilds** go through the column-major **bulk
-  chase kernel** (:mod:`repro.chase.bulk`) by default
-  (``bulk_loads=True``): the tableau is built by per-column batch
-  ingest and chased set-at-a-time, with the merge log batch-recorded
-  when scoped deletes want one, then handed to the incremental driver
-  with its per-FD partitions pre-seeded.  Every from-scratch path —
-  first query, delete fallback, compaction, a poisoned tableau's
-  recovery — pays the kernel price instead of the row-at-a-time
-  seeding pass (``stats.bulk_loads`` counts them).
+  chase kernel** (:mod:`repro.chase.bulk`): the tableau is built by
+  per-column batch ingest and chased set-at-a-time, with the merge log
+  batch-recorded, then handed to the incremental driver with its
+  per-FD partitions pre-seeded.  Every from-scratch path — first
+  query, delete fallback, compaction, a poisoned tableau's recovery —
+  pays the kernel price instead of the row-at-a-time seeding pass
+  (``stats.bulk_loads`` counts them; tableaux below the kernel's size
+  cutoff take the row-at-a-time path).
 
 All of that tableau lifecycle — build, incremental drive, scoped
 retraction, window caching — lives in :class:`LiveTableau`, the seam
@@ -98,6 +95,7 @@ from typing import (
     Union,
 )
 
+from repro.chase.bulk import BulkFDChaser, bulk_eligible, ingest_state
 from repro.chase.engine import ChaseResult, IncrementalFDChaser
 from repro.chase.tableau import ChaseTableau, RowOrigin
 from repro.core.independence import IndependenceReport
@@ -193,12 +191,12 @@ class LiveTableau:
     counters (``inserts_*``, ``deletes``, ``window_queries``).
     """
 
-    #: default ceiling on cached windows (LRU eviction beyond it)
-    DEFAULT_WINDOW_CACHE_LIMIT = 1024
-    #: default rebuild-fallback threshold: a delete whose affected set
-    #: exceeds this fraction of the live rows invalidates instead of
-    #: rechasing, bounding the worst case at one rebuild
-    DEFAULT_DELETE_REBUILD_FRACTION = 0.5
+    #: ceiling on cached windows (LRU eviction beyond it)
+    WINDOW_CACHE_LIMIT = 1024
+    #: rebuild-fallback threshold: a delete whose affected set exceeds
+    #: this fraction of the live rows invalidates instead of rechasing,
+    #: bounding the worst case at one rebuild
+    DELETE_REBUILD_FRACTION = 0.5
 
     def __init__(
         self,
@@ -206,19 +204,11 @@ class LiveTableau:
         fds: Iterable[FD],
         state_source: Callable[[], DatabaseState],
         stats: ServiceStats,
-        scoped_deletes: bool = True,
-        delete_rebuild_fraction: float = DEFAULT_DELETE_REBUILD_FRACTION,
-        window_cache_limit: int = DEFAULT_WINDOW_CACHE_LIMIT,
-        bulk_loads: bool = True,
     ):
         self.schema = schema
         self._fd_tuple: PyTuple[FD, ...] = tuple(fds)
         self._state_source = state_source
         self.stats = stats
-        self.scoped_deletes = scoped_deletes
-        self.delete_rebuild_fraction = delete_rebuild_fraction
-        self.window_cache_limit = window_cache_limit
-        self.bulk_loads = bulk_loads
         self._tableau: Optional[ChaseTableau] = None
         self._chaser: Optional[IncrementalFDChaser] = None
         #: the last adopted driver's *static* per-FD column metadata,
@@ -252,16 +242,6 @@ class LiveTableau:
 
     # -- building ---------------------------------------------------------------
 
-    def new_chaser(self, tableau: ChaseTableau) -> IncrementalFDChaser:
-        """A driver for a candidate tableau, rebinding the previous
-        driver's per-FD metadata when one exists."""
-        return IncrementalFDChaser(
-            tableau,
-            self._fd_tuple,
-            log_merges=self.scoped_deletes,
-            _template=self._chaser_template,
-        )
-
     def tableau_from(
         self, state: DatabaseState
     ) -> PyTuple[ChaseTableau, Dict[PyTuple[str, object], int]]:
@@ -269,12 +249,10 @@ class LiveTableau:
 
         Duplicate tuples within a relation collapse to one row (set
         semantics, like the checker), so retracting the locator's row
-        really removes the tuple's entire contribution.
-
-        With ``bulk_loads`` the rows go through the tableau's
-        column-major ingest (the layout the bulk kernel wants); either
-        way the fresh tableau's version stamps are floored above every
-        stamp a superseded predecessor handed out.
+        really removes the tuple's entire contribution.  The rows go
+        through the tableau's column-major ingest (the layout the bulk
+        kernel wants), and the fresh tableau's version stamps are
+        floored above every stamp a superseded predecessor handed out.
         """
         tableau = ChaseTableau(self.schema.universe)
         floor = (
@@ -283,57 +261,38 @@ class LiveTableau:
         )
         if floor is not None:
             tableau.offset_version_base(floor)
-        if self.bulk_loads:
-            from repro.chase.bulk import ingest_state
-
-            return ingest_state(self.schema, state, tableau)
-        row_of: Dict[PyTuple[str, object], int] = {}
-        for scheme, relation in state:
-            for t in relation:
-                key = (scheme.name, t)
-                if key in row_of:
-                    continue
-                row_of[key] = tableau.add_padded(
-                    scheme.attributes, t, RowOrigin("state", scheme.name)
-                )
-        return tableau, row_of
+        return ingest_state(self.schema, state, tableau)
 
     def chase_fresh(
         self, tableau: ChaseTableau
     ) -> PyTuple[Optional[IncrementalFDChaser], ChaseResult]:
         """Chase a freshly built candidate tableau to fixpoint and wrap
-        it in an incremental driver.
+        it in an incremental driver (merge log on, so every delete can
+        be scoped).
 
-        Eligible tableaux run the column-major bulk kernel (merge log
-        batch-recorded iff scoped deletes want one) and the driver is
-        seeded from the kernel's partitions — the cold-load fast path;
-        everything else seeds the driver the row-at-a-time way.  On a
-        contradiction the driver is withheld (``None``): the candidate
-        is poisoned and must be discarded.
+        Eligible tableaux run the column-major bulk kernel and the
+        driver is seeded from the kernel's partitions — the cold-load
+        fast path; everything else seeds the driver the row-at-a-time
+        way.  On a contradiction the driver is withheld (``None``): the
+        candidate is poisoned and must be discarded.
         """
-        if self.bulk_loads:
-            from repro.chase.bulk import BulkFDChaser, bulk_eligible
-
-            if bulk_eligible(tableau):
-                kernel = BulkFDChaser(
-                    tableau, self._fd_tuple, log_merges=self.scoped_deletes
-                )
-                result = kernel.run()
-                if not result.consistent:
-                    return None, result
-                chaser = IncrementalFDChaser(
-                    tableau,
-                    self._fd_tuple,
-                    log_merges=self.scoped_deletes,
-                    _template=self._chaser_template,
-                    _handoff=kernel,
-                )
-                self.stats.bulk_loads += 1
-                return chaser, result
-        chaser = self.new_chaser(tableau)
-        result = chaser.run()
-        if not result.consistent:
-            return None, result
+        kernel = None
+        if bulk_eligible(tableau):
+            kernel = BulkFDChaser(tableau, self._fd_tuple, log_merges=True)
+            result = kernel.run()
+            if not result.consistent:
+                return None, result
+            self.stats.bulk_loads += 1
+        chaser = IncrementalFDChaser(
+            tableau,
+            self._fd_tuple,
+            _template=self._chaser_template,
+            _handoff=kernel,
+        )
+        if kernel is None:
+            result = chaser.run()
+            if not result.consistent:
+                return None, result
         return chaser, result
 
     def adopt(
@@ -420,22 +379,18 @@ class LiveTableau:
         """Maintain the live tableau after the backing state deleted a
         tuple: retract the row and re-derive only its merge footprint,
         falling back to invalidate-and-rebuild when the affected set
-        exceeds ``delete_rebuild_fraction`` of the live rows, when the
-        merge log cannot scope the tableau, or when
-        ``scoped_deletes=False``.
+        exceeds :attr:`DELETE_REBUILD_FRACTION` of the live rows or when
+        the merge log cannot scope the tableau.
         """
         if self._stale or self._tableau is None:
             return  # nothing live to maintain; next query rebuilds
-        if not self.scoped_deletes:
-            self.invalidate()
-            return
         idx = self._row_of.get((scheme_name, t))
         if idx is None:  # locator out of sync: be safe, rebuild
             self.invalidate()
             return
         tableau = self._tableau
         impact = tableau.retraction_impact(idx)
-        threshold = self.delete_rebuild_fraction * tableau.live_row_count()
+        threshold = self.DELETE_REBUILD_FRACTION * tableau.live_row_count()
         if not impact.complete or len(impact.affected_rows) > threshold:
             self.stats.delete_fallbacks += 1
             self.invalidate()
@@ -540,7 +495,7 @@ class LiveTableau:
                 return facts
         facts = tableau.total_projection(target)
         cache[target] = facts
-        if len(cache) > self.window_cache_limit:
+        if len(cache) > self.WINDOW_CACHE_LIMIT:
             cache.pop(next(iter(cache)))
             self.stats.window_cache_evictions += 1
         return facts
@@ -639,23 +594,12 @@ class WeakInstanceService(WindowQueryAPI):
     state (the randomized equivalence suite pins this).
     """
 
-    #: default ceiling on cached windows (LRU eviction beyond it)
-    DEFAULT_WINDOW_CACHE_LIMIT = LiveTableau.DEFAULT_WINDOW_CACHE_LIMIT
-    #: default rebuild-fallback threshold: a delete whose affected set
-    #: exceeds this fraction of the live rows invalidates instead of
-    #: rechasing, bounding the worst case at one rebuild
-    DEFAULT_DELETE_REBUILD_FRACTION = LiveTableau.DEFAULT_DELETE_REBUILD_FRACTION
-
     def __init__(
         self,
         schema: DatabaseSchema,
         fds: Union[FDSet, Iterable[FD], str],
         method: Method = "chase",
         report: Optional[IndependenceReport] = None,
-        scoped_deletes: bool = True,
-        delete_rebuild_fraction: float = DEFAULT_DELETE_REBUILD_FRACTION,
-        window_cache_limit: int = DEFAULT_WINDOW_CACHE_LIMIT,
-        bulk_loads: bool = True,
     ):
         self.schema = schema
         self.fds = as_fdset(fds)
@@ -666,14 +610,7 @@ class WeakInstanceService(WindowQueryAPI):
         #: service (the sharded service keys on per-shard versions)
         self._mutations = 0
         self._live = LiveTableau(
-            schema,
-            self.fds,
-            lambda: self.checker.state(),
-            self.stats,
-            scoped_deletes=scoped_deletes,
-            delete_rebuild_fraction=delete_rebuild_fraction,
-            window_cache_limit=window_cache_limit,
-            bulk_loads=bulk_loads,
+            schema, self.fds, lambda: self.checker.state(), self.stats
         )
 
     @classmethod
@@ -683,35 +620,15 @@ class WeakInstanceService(WindowQueryAPI):
         fds: Union[FDSet, Iterable[FD], str],
         method: Method = "chase",
         report: Optional[IndependenceReport] = None,
-        **options,
     ) -> "WeakInstanceService":
-        """Build a service over the state's schema and load the state
-        (``options`` pass through to the constructor: ``scoped_deletes``,
-        ``delete_rebuild_fraction``, ``window_cache_limit``)."""
-        service = cls(state.schema, fds, method=method, report=report, **options)
+        """Build a service over the state's schema and load the state."""
+        service = cls(state.schema, fds, method=method, report=report)
         service.load(state)
         return service
 
     @property
     def method(self) -> Method:
         return self.checker.method
-
-    # -- compatibility views into the live-tableau seam --------------------------
-
-    @property
-    def _stale(self) -> bool:
-        return not self._live.live
-
-    @_stale.setter
-    def _stale(self, value: bool) -> None:
-        if value:
-            self._live.invalidate()
-        else:  # pragma: no cover - only invalidation is forced externally
-            self._live._stale = False
-
-    @property
-    def _window_cache(self) -> Dict[AttributeSet, RelationInstance]:
-        return self._live._window_cache
 
     # -- loading ---------------------------------------------------------------
 
@@ -722,11 +639,11 @@ class WeakInstanceService(WindowQueryAPI):
         tableau, so loading costs exactly one chase of the combined
         state — on an empty service, the same as one from-scratch
         query.  The chase itself runs on the column-major bulk kernel
-        whenever eligible (``bulk_loads``, on by default), with the
-        merge log batch-recorded so scoped deletes work on the loaded
-        state.  Loading onto a non-empty service validates the
-        *combination* of the stored and incoming tuples, through the
-        same FD-only chase as every other entry point.
+        whenever eligible, with the merge log batch-recorded so scoped
+        deletes work on the loaded state.  Loading onto a non-empty
+        service validates the *combination* of the stored and incoming
+        tuples, through the same FD-only chase as every other entry
+        point.
         """
         if self.method != "chase":
             self.checker.load(state)
@@ -842,8 +759,8 @@ class WeakInstanceService(WindowQueryAPI):
         footprint (:meth:`LiveTableau.retract`), keeping the tableau —
         and every untouched window-cache entry — live.  Falls back to
         invalidate-and-rebuild when the affected set exceeds
-        ``delete_rebuild_fraction`` of the live rows, when the merge
-        log cannot scope the tableau, or when ``scoped_deletes=False``.
+        :attr:`LiveTableau.DELETE_REBUILD_FRACTION` of the live rows or
+        when the merge log cannot scope the tableau.
         """
         t = self.checker.coerce_tuple(scheme_name, row)
         existed = self.checker.delete(scheme_name, t)
@@ -865,8 +782,8 @@ class WeakInstanceService(WindowQueryAPI):
         superseded entry (scoped deletes re-stamp the entries they
         prove untouched, so those survive), which keeps a long
         insert+query stream from accumulating dead versions.  An LRU
-        bound (``window_cache_limit``) caps the footprint even at a
-        single version.
+        bound (:attr:`LiveTableau.WINDOW_CACHE_LIMIT`) caps the
+        footprint even at a single version.
         """
         target = AttributeSet(attrset)
         self.stats.window_queries += 1

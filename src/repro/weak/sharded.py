@@ -541,15 +541,15 @@ class ShardedWeakInstanceService(WindowQueryAPI):
 
     #: FIFO bound on the memoized window plans and on their cached
     #: unfiltered results
-    WINDOW_CACHE_LIMIT = LiveTableau.DEFAULT_WINDOW_CACHE_LIMIT
+    WINDOW_CACHE_LIMIT = LiveTableau.WINDOW_CACHE_LIMIT
     DEFAULT_SNAPSHOT_INTERVAL = 4096
     #: snapshot files kept per shard (the newest plus K-1 predecessors
     #: in a rename chain) — the rollback depth of ``repair``
     DEFAULT_SNAPSHOT_GENERATIONS = 3
     #: transient-I/O-error retries before a shard degrades/quarantines
-    DEFAULT_IO_RETRIES = 2
+    IO_RETRIES = 2
     #: first retry backoff in seconds (doubles per attempt)
-    DEFAULT_IO_BACKOFF = 0.005
+    IO_BACKOFF = 0.005
     #: retry jitter as a fraction of each backoff step: the sleep is
     #: ``backoff * 2**attempt * (1 + jitter * U[0,1))`` — without it,
     #: shards that failed together retry together and stampede a
@@ -566,8 +566,6 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         auto_commit: bool = True,
         fault_hook: Optional[FaultHook] = None,
         io: Optional[StoreIO] = None,
-        io_retries: int = DEFAULT_IO_RETRIES,
-        io_backoff: float = DEFAULT_IO_BACKOFF,
         replicas: Sequence[Union[str, os.PathLike, ShardStore]] = (),
     ):
         # the manager ships this class's chains, so its module imports
@@ -579,8 +577,6 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         self.auto_commit = auto_commit
         self.fault_hook = fault_hook
         self.io = io if io is not None else StoreIO()
-        self.io_retries = io_retries
-        self.io_backoff = io_backoff
         self._rng = random.Random()
         self.stats = ShardedServiceStats()
         self._crashed = False
@@ -1094,7 +1090,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     break
                 except OSError as exc:
                     wal.rollback_to(start)
-                    if attempt >= self.io_retries:
+                    if attempt >= self.IO_RETRIES:
                         # back to the front of the buffer: a probe,
                         # repair, or the shard's next commit sees it
                         # (nothing acknowledged is ever dropped from
@@ -1107,7 +1103,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     # together must not retry in lockstep against the
                     # same recovering disk
                     time.sleep(
-                        self.io_backoff
+                        self.IO_BACKOFF
                         * (2 ** attempt)
                         * (1.0 + self.DEFAULT_IO_JITTER * self._rng.random())
                     )

@@ -63,3 +63,20 @@ def star4():
 @pytest.fixture
 def triangle2():
     return triangle_schema(2)
+
+
+@pytest.fixture
+def no_io_backoff(monkeypatch):
+    """A failed shard WAL or snapshot write retries without sleeping."""
+    from repro.weak.sharded import ShardedWeakInstanceService
+
+    monkeypatch.setattr(ShardedWeakInstanceService, "IO_BACKOFF", 0.0)
+
+
+@pytest.fixture
+def one_io_retry(no_io_backoff, monkeypatch):
+    """A persistent I/O error quarantines its shard after one immediate
+    retry (what the failover tests wait on)."""
+    from repro.weak.sharded import ShardedWeakInstanceService
+
+    monkeypatch.setattr(ShardedWeakInstanceService, "IO_RETRIES", 1)

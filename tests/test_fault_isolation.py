@@ -59,8 +59,11 @@ QUERY_POOL = embedded_query_pool(SCHEMA)
 NAMES = tuple(s.name for s in SCHEMA)
 
 
+#: retries in this module never sleep
+pytestmark = pytest.mark.usefixtures("no_io_backoff")
+
+
 def open_service(root, io=None, **options):
-    options.setdefault("io_backoff", 0.0)
     return DurableShardedService(SCHEMA, FDS, root, io=io, **options)
 
 
@@ -177,7 +180,7 @@ class TestRetryAndQuarantine:
         schema, fds = chain_schema(3)
         io = FaultyIO()
         with DurableShardedService(
-            schema, fds, tmp_path / "d", io=io, io_backoff=0.0
+            schema, fds, tmp_path / "d", io=io
         ) as svc:
             svc.insert("R1", ("a", "b"))
             svc.insert("R2", ("b", "c"))
@@ -210,7 +213,7 @@ class TestRetryAndQuarantine:
         schema, fds = chain_schema(3)
         io = FaultyIO()
         with DurableShardedService(
-            schema, fds, tmp_path / "d", io=io, io_backoff=0.0
+            schema, fds, tmp_path / "d", io=io
         ) as svc:
             svc.insert("R1", ("a", "b"))
             svc.insert("R2", ("b", "c"))

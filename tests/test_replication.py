@@ -395,12 +395,13 @@ class TestFailover:
             assert str(tmp_path / "r1") in str(svc.wal_path("R1"))
             assert svc.stats.failovers == 1
 
+    @pytest.mark.usefixtures("one_io_retry")
     def test_auto_failover_on_quarantine(self, tmp_path, chain2):
         schema, fds = chain2
         primary_io = FaultyIO()
         with ReplicatedShardedService(
             schema, fds, tmp_path / "d", replicas=[tmp_path / "r1"],
-            io=primary_io, io_retries=1, io_backoff=0.0,
+            io=primary_io,
         ) as svc:
             svc.insert("R1", row(schema, "R1", "a", "b"))
             primary_io.kill(match="shards/R1")
@@ -415,12 +416,13 @@ class TestFailover:
             # the sibling shard never noticed
             assert svc.primary_of("R2") == "primary"
 
+    @pytest.mark.usefixtures("one_io_retry")
     def test_quarantine_stands_without_replicas(self, tmp_path, chain2):
         schema, fds = chain2
         primary_io = FaultyIO()
         with ReplicatedShardedService(
             schema, fds, tmp_path / "d", replicas=[],
-            io=primary_io, io_retries=1, io_backoff=0.0,
+            io=primary_io,
         ) as svc:
             primary_io.kill(match="shards/R1")
             with pytest.raises(ShardQuarantinedError):

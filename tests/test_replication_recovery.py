@@ -86,6 +86,7 @@ def assert_acked_present(service, schema, acked):
 
 
 class TestKillPrimaryMidCommit:
+    @pytest.mark.usefixtures("one_io_retry")
     def test_acked_writes_survive_and_service_keeps_serving(
         self, tmp_path, star4
     ):
@@ -93,7 +94,7 @@ class TestKillPrimaryMidCommit:
         primary_io = FaultyIO()
         svc = ReplicatedShardedService(
             schema, fds, tmp_path / "d", replicas=[tmp_path / "r1"],
-            io=primary_io, io_retries=1, io_backoff=0.0,
+            io=primary_io,
         )
         with WeakInstanceServer(svc, workers=2) as server:
             acked = drain(submit_wave(server, schema, 0, 6))
@@ -114,6 +115,7 @@ class TestKillPrimaryMidCommit:
 
 
 class TestKillPrimaryMidSnapshot:
+    @pytest.mark.usefixtures("one_io_retry")
     def test_snapshot_failure_fails_over_and_keeps_acks(
         self, tmp_path, star4
     ):
@@ -126,7 +128,7 @@ class TestKillPrimaryMidSnapshot:
         )
         svc = ReplicatedShardedService(
             schema, fds, tmp_path / "d", replicas=[tmp_path / "r1"],
-            io=primary_io, io_retries=1, io_backoff=0.0,
+            io=primary_io,
             snapshot_interval=4,
         )
         with WeakInstanceServer(svc, workers=2) as server:
@@ -170,12 +172,13 @@ class TestReplicaEIODuringShip:
 
 
 class TestExactlyOnceAcrossFailover:
+    @pytest.mark.usefixtures("one_io_retry")
     def test_retry_after_failover_applies_once(self, tmp_path, star4):
         schema, fds = star4
         primary_io = FaultyIO()
         svc = ReplicatedShardedService(
             schema, fds, tmp_path / "d", replicas=[tmp_path / "r1"],
-            io=primary_io, io_retries=1, io_backoff=0.0,
+            io=primary_io,
         )
         with WeakInstanceServer(svc, workers=2) as server:
             r1 = scheme_row(schema, "R1", 0)
@@ -203,6 +206,7 @@ class TestExactlyOnceAcrossFailover:
 
 
 class TestCrashInsideFailover:
+    @pytest.mark.usefixtures("one_io_retry")
     @pytest.mark.parametrize(
         "point", ["failover.begin", "failover.promoted"]
     )
@@ -219,7 +223,7 @@ class TestCrashInsideFailover:
         primary_io = FaultyIO()
         svc = ReplicatedShardedService(
             schema, fds, tmp_path / "d", replicas=[tmp_path / "r1"],
-            io=primary_io, io_retries=1, io_backoff=0.0,
+            io=primary_io,
             fault_hook=FaultInjector(point),
         )
         acked = []

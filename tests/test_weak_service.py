@@ -15,8 +15,9 @@ from repro.chase.tableau import ChaseTableau
 from repro.data.states import DatabaseState
 from repro.exceptions import InconsistentStateError
 from repro.schema.database import DatabaseSchema
+from repro.weak import representative as representative_module
 from repro.weak.representative import derivable, representative_instance, window
-from repro.weak.service import WeakInstanceService
+from repro.weak.service import LiveTableau, WeakInstanceService
 from repro.workloads.schemas import chain_schema, star_schema
 from repro.workloads.states import (
     delete_heavy_stream_workload,
@@ -240,6 +241,53 @@ class TestServiceBasics:
         assert live.resolved_rows() == scratch.resolved_rows()
 
 
+class TestOneShotHelpers:
+    """The one-shot helpers chase ``I(p)`` once with the merge log off
+    (the tableau never serves a retraction) and answer exactly like the
+    live service."""
+
+    @pytest.fixture
+    def chased(self, monkeypatch):
+        """Every tableau the helpers chase, in call order."""
+        tableaux = []
+        real = representative_module.chase_state
+
+        def spy(state, fds, *args, **kwargs):
+            result = real(state, fds, *args, **kwargs)
+            tableaux.append(result.tableau)
+            return result
+
+        monkeypatch.setattr(representative_module, "chase_state", spy)
+        return tableaux
+
+    @pytest.mark.parametrize("make_schema", [chain_schema, star_schema])
+    # the small states take the row-at-a-time chase, the large ones
+    # (over 128 rows) the bulk kernel
+    @pytest.mark.parametrize("n_base,domain", [(15, 40), (60, 400)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_helpers_keep_merge_log_off_and_match_service(
+        self, chased, make_schema, n_base, domain, seed
+    ):
+        schema, F = make_schema(4)
+        base, ops = mixed_stream_workload(
+            schema, F, n_base=n_base, n_inserts=0, n_deletes=0,
+            n_queries=10, seed=seed, domain_size=domain,
+        )
+        service = WeakInstanceService.from_state(base, F)
+        tab = representative_instance(base, F)
+        assert tab.resolved_rows() == service.representative().resolved_rows()
+        targets = [op.attributes for op in ops] + [schema.universe]
+        for target in targets:
+            want = service.window(target)
+            assert window(base, F, target) == want
+            for t in list(want)[:3]:
+                assert derivable(base, F, t.as_dict())
+        assert len(chased) == 1 + len(targets) + sum(
+            min(3, len(service.window(target))) for target in targets
+        )
+        assert not any(t.merge_log_enabled for t in chased)
+
+
 def _apply_stream(service, base, ops, fds, collect):
     """Drive one stream through the service, checking every query (and
     every insert verdict) against the from-scratch oracle."""
@@ -427,26 +475,13 @@ class TestScopedDeletes:
         assert service.stats.delete_fallbacks == 0
         assert service.stats.affected_rows_max >= 0
 
-    def test_scoped_deletes_false_restores_rebuild_path(self):
-        schema, F = chain_schema(4)
-        base = random_satisfying_state(schema, F, 15, seed=3, domain_size=500)
-        service = WeakInstanceService.from_state(base, F, scoped_deletes=False)
-        service.window(schema.universe)
-        t = next(iter(base[schema.schemes[0].name]))
-        assert service.delete(schema.schemes[0].name, t)
-        assert not service.live, "non-scoped delete must invalidate"
-        service.window(schema.universe)
-        assert service.stats.rebuilds == 1
-        assert service.stats.scoped_rechases == 0
-
-    def test_adversarial_fraction_forces_fallback(self):
-        """delete_rebuild_fraction=0 makes any delete with a non-empty
+    def test_adversarial_fraction_forces_fallback(self, monkeypatch):
+        """A rebuild fraction of 0 makes any delete with a non-empty
         footprint fall back — the quadratic-delete guard."""
+        monkeypatch.setattr(LiveTableau, "DELETE_REBUILD_FRACTION", 0.0)
         schema, F = chain_schema(4)
         base = random_satisfying_state(schema, F, 15, seed=4, domain_size=500)
-        service = WeakInstanceService.from_state(
-            base, F, delete_rebuild_fraction=0.0
-        )
+        service = WeakInstanceService.from_state(base, F)
         service.window(schema.universe)
         fell_back = 0
         for scheme, relation in base:
@@ -507,17 +542,16 @@ class TestWindowCacheLifecycle:
         for a in targets[:2]:
             service.window(a)
         # dead versions pruned: at most one version's worth of entries
-        assert len(service._window_cache) <= len(targets)
+        assert len(service._live._window_cache) <= len(targets)
 
-    def test_lru_bound_evicts_oldest(self, intro):
-        service = WeakInstanceService.from_state(
-            intro.state, intro.fds, window_cache_limit=2
-        )
+    def test_lru_bound_evicts_oldest(self, intro, monkeypatch):
+        monkeypatch.setattr(LiveTableau, "WINDOW_CACHE_LIMIT", 2)
+        service = WeakInstanceService.from_state(intro.state, intro.fds)
         service.window("C T")
         service.window("C S")
         service.window("T H R")  # evicts "C T"
         assert service.stats.window_cache_evictions == 1
-        assert len(service._window_cache) == 2
+        assert len(service._live._window_cache) == 2
         service.window("C T")  # recompute, evicting again
         assert service.stats.window_cache_evictions == 2
 
@@ -593,7 +627,7 @@ class TestEnsureLiveContract:
                 return bad_state
 
         service.checker = BadChecker()
-        service._stale = True  # force the rebuild path
+        service._live.invalidate()  # force the rebuild path
         with pytest.raises(InconsistentStateError) as exc:
             service.window("C T")
         assert "stopped satisfying" in str(exc.value)
@@ -614,7 +648,7 @@ class TestVersionStampsAcrossRebuilds:
         service, schema, _ = self._service()
         tab1 = service.representative()
         v1 = tab1.version
-        service._stale = True  # invalidate; next query rebuilds
+        service._live.invalidate()  # next query rebuilds
         tab2 = service.representative()
         assert tab2 is not tab1
         assert tab2.version > v1, (
@@ -623,7 +657,7 @@ class TestVersionStampsAcrossRebuilds:
         )
         # and across a second rebuild, still monotone
         v2 = tab2.version
-        service._stale = True
+        service._live.invalidate()
         assert service.representative().version > v2
 
     def test_rebuilt_tableau_birth_stamp_clears_the_old_one(self):
@@ -648,7 +682,7 @@ class TestVersionStampsAcrossRebuilds:
         service = WeakInstanceService.from_state(state_a, F)
         target = schema.schemes[0].attributes.names
         before = service.window(target)
-        assert service._window_cache  # the entry is cached
+        assert service._live._window_cache  # the entry is cached
         # swap the backing state wholesale (same tuple count, different
         # values), then invalidate: the rebuild produces a tableau of
         # identical shape whose raw counters would collide with v1
@@ -658,7 +692,7 @@ class TestVersionStampsAcrossRebuilds:
         checker = MaintenanceChecker(schema, F, method="chase")
         checker.load(state_b, assume_valid=True)
         service.checker = checker
-        service._stale = True
+        service._live.invalidate()
         after = service.window(target)
         assert after == scratch_window(state_b, F, target)
         if frozenset(before.tuples) != frozenset(after.tuples):
