@@ -121,8 +121,11 @@ has to match what the store was *created* with.
 **Threading.**  Mutations and snapshots are safe under concurrent use:
 a reentrant shard lock orders apply+stage and a snapshot's capture,
 and the WAL's I/O lock orders its drain, write and fsync against the
-snapshot's truncate.  No lock is held across two shards' I/O, so one
-shard's stalled disk never stalls another.  Reads are *not*
+snapshot's truncate.  Inside the I/O lock, the shard record's replica
+lock is held across shipping to its replicas; it is the only lock a
+lag report takes, so ``health()`` never waits on a primary fsync.  No
+lock is held across two shards' I/O, so one shard's stalled disk (or
+stalled replica) never stalls another.  Reads are *not*
 internally locked — single-threaded callers need nothing, and the
 multi-client front end (:mod:`repro.weak.server`) provides the read
 locking discipline.  Values must be JSON-serializable scalars (the

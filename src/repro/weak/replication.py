@@ -10,8 +10,14 @@ shard* — no global view change, no distributed commit.
 Replication is not a separate service but a strategy of the shard's
 log: a :class:`~repro.weak.sharded.ShardedWeakInstanceService` built
 with a ``root`` and ``replicas=[...]`` ships its chains, one built
-without them has nothing to ship.  This module holds the shipping
-side, :class:`ReplicationManager` (one per service), plus the names
+without them has nothing to ship.  Each shard's replication state
+lives on its own ``_SchemeShard`` record, beside its store and WAL:
+the replica targets (label → :class:`_Target`), the frames and the
+WAL end offset shipped so far, the replication epoch, and the replica
+lock.  The record is built with a target for every replica of the
+service, so a shard an evolution creates ships like any other, and a
+retired shard's replication state goes with its record.  This module
+holds the shipping side as functions over one record, plus the names
 older callers import (:data:`ReplicaStore`,
 :data:`ReplicatedShardedService`).  Concretely:
 
@@ -48,6 +54,15 @@ older callers import (:data:`ReplicaStore`,
   outcome, and a retry whose stamp never reached the promoted chain
   applies exactly once.
 
+**Locks.**  :func:`ship` and :func:`ship_snapshot` run in the
+committing thread under the shard WAL's I/O lock, so frames reach the
+replicas in WAL order and no frame slips between a snapshot install
+and its truncate.  Inside it, the record's ``replica_lock`` is held
+across the replica I/O; it is the only lock :func:`lag` takes, so
+``health()`` never waits on a primary fsync, and a stalled replica
+stalls only its own shard.  The shared ``replica_*`` counters are
+bumped under the service's innermost staging lock.
+
 Crash points (:data:`REPLICATION_CRASH_POINTS`) fire at the shipping
 and promotion boundaries; every replica file operation goes through
 the replica's ``StoreIO``.
@@ -56,15 +71,12 @@ the replica's ``StoreIO``.
 from __future__ import annotations
 
 import logging
-import os
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional
 
 from repro.exceptions import NoPromotableReplicaError, ReplicationError
 from repro.weak.durable import ShardStore
-from repro.weak.sharded import ShardedWeakInstanceService
 
 _log = logging.getLogger(__name__)
 
@@ -83,14 +95,10 @@ REPLICATION_CRASH_POINTS = (
 #: chain reader, behind the replica's own ``StoreIO``
 ReplicaStore = ShardStore
 
-#: the service given a replica list (``replicas=[...]``), under the name
-#: callers of the replication layer import
-ReplicatedShardedService = ShardedWeakInstanceService
-
 
 @dataclass
 class _Target:
-    """Per-(shard, replica) shipping state inside the manager."""
+    """One replica of one shard: its store and shipping state."""
 
     store: ShardStore
     acked_offset: int = 0
@@ -105,258 +113,209 @@ class _Target:
     synced: bool = False
 
 
-class ReplicationManager:
-    """Shipping, acks, lag, promotion, and anti-entropy for every
-    shard of one :class:`~repro.weak.sharded.ShardedWeakInstanceService`.
+def _count(service, **deltas: int) -> None:
+    stats = service.stats
+    # shards ship concurrently and += is not atomic: the service's
+    # innermost lock guards the shared counters
+    with service._stage_lock:
+        for counter, n in deltas.items():
+            setattr(stats, counter, getattr(stats, counter) + n)
 
-    ``replicas`` are paths (a :class:`ShardStore` with the default
-    ``StoreIO`` is built over each) or prebuilt stores; duplicate
-    labels get an index suffix.  A shard's lock guards its target
-    state across its replica I/O (a stalled replica stalls only that
-    shard); the manager lock guards the lock table and counters.
-    Shipping runs in the committing thread, under the shard WAL's I/O
-    lock, so frames reach replicas in WAL order."""
 
-    def __init__(
-        self,
-        service: ShardedWeakInstanceService,
-        replicas: Sequence[Union[str, os.PathLike, ShardStore]] = (),
-    ):
-        self.service = service
-        self.stores = []
-        labels: set = set()
-        for index, replica in enumerate(replicas):
-            store = replica if isinstance(replica, ShardStore) else ShardStore(replica)
-            if store.label in labels:
-                store.label = f"{store.label}-{index}"
-            labels.add(store.label)
-            self.stores.append(store)
-        self._lock = threading.Lock()
-        self._shard_locks: Dict[str, threading.RLock] = {}
-        self._targets: Dict[str, Dict[str, _Target]] = {}
-        #: cumulative frames the primary has shipped per shard — the
-        #: monotone measure lag is computed against (snapshot
-        #: truncations reset offsets, never this)
-        self._primary_frames: Dict[str, int] = {}
-        self._primary_offset: Dict[str, int] = {}
-        #: per-shard replication epoch, bumped by every promotion
-        self.epochs: Dict[str, int] = {}
+# -- shipping ------------------------------------------------------------------
 
-    # -- target bookkeeping ------------------------------------------------------
 
-    def _targets_for(self, name: str) -> Dict[str, _Target]:
-        table = self._targets.get(name)
-        if table is None:
-            table = {store.label: _Target(store) for store in self.stores}
-            self._targets[name] = table
-        return table
+def ship(service, shard, blob: bytes, base_offset: int, count: int) -> None:
+    """Forward one fsynced blob to every target of ``shard``.  Never
+    raises for a replica's I/O failure."""
+    name = shard.name
 
-    def _shard_lock(self, name: str) -> threading.RLock:
-        with self._lock:
-            return self._shard_locks.setdefault(name, threading.RLock())
-
-    def _count(self, **deltas: int) -> None:
-        stats = self.service.stats
-        with self._lock:  # shards ship concurrently; += is not atomic
-            for counter, n in deltas.items():
-                setattr(stats, counter, getattr(stats, counter) + n)
-
-    def has_targets(self, name: str) -> bool:
-        with self._shard_lock(name):
-            return bool(self._targets_for(name))
-
-    # -- shipping ----------------------------------------------------------------
-
-    def ship(self, name: str, blob: bytes, base_offset: int, count: int) -> None:
-        """Forward one fsynced blob to every target of the shard.
-        Never raises for a replica's I/O failure."""
-
-        def deliver(target: _Target) -> None:
-            if (
-                target.synced
-                and target.error is None
-                and target.store.wal_offset(name) == base_offset
-            ):
-                target.store.append(name, blob)
-            else:
-                # the replica missed something (an earlier failed ship,
-                # a truncation, or it was never verified): re-derive its
-                # chain from the primary's current bytes, which already
-                # include this blob
-                self._sync_target(name, target)
-            self._count(replica_frames_shipped=count,
-                        replica_bytes_shipped=len(blob))
-
-        with self._shard_lock(name):
-            self._primary_frames[name] = self._primary_frames.get(name, 0) + count
-            self._primary_offset[name] = base_offset + len(blob)
-            self._deliver(name, deliver)
-
-    def ship_snapshot(self, name: str, payload: str) -> None:
-        def deliver(target: _Target) -> None:
-            target.store.install_snapshot(name, payload)
-            self._count(replica_snapshot_installs=1)
-
-        with self._shard_lock(name):
-            # the primary's WAL is empty right after the truncation the
-            # caller just performed; aligned replicas restart at offset 0
-            self._primary_offset[name] = 0
-            self._deliver(name, deliver)
-
-    def _deliver(self, name: str, deliver) -> None:
-        """Run ``deliver`` against every target of one shard (its
-        lock held): a target that took it is acked, one whose disk
-        refused is marked behind — a replica fault never reaches the
-        primary."""
-        for target in self._targets_for(name).values():
-            try:
-                deliver(target)
-            except OSError as exc:
-                self._mark_behind(name, target, exc)
-            else:
-                self._ack(name, target)
-
-    def _ack(self, name: str, target: _Target) -> None:
-        target.acked_offset = self._primary_offset.get(name, 0)
-        target.acked_frames = self._primary_frames.get(name, 0)
-        target.acked_epoch = self.epochs.get(name, 0)
-        target.last_ack = time.monotonic()
-        target.error = None
-        target.synced = True
-
-    def _mark_behind(self, name: str, target: _Target, exc: OSError) -> None:
-        target.error = f"{type(exc).__name__}: {exc}"
-        target.synced = False
-        self._count(replica_ship_failures=1)
-        _log.warning(
-            "replica %s behind on shard %s: %s",
-            target.store.label, name, target.error,
-        )
-
-    def _sync_target(self, name: str, target: _Target) -> None:
-        """Anti-entropy: make one replica's chain byte-identical to
-        the primary's.  Prefix-extension when possible (ship the
-        missing WAL suffix), snapshot-copy otherwise.  Raises
-        ``OSError`` when either side's disk refuses."""
-        primary = self.service.shard_store(name)
-        primary_wal = primary.read_wal(name)
-        primary_snap = primary.read_snapshot(name)
-        replica_snap = target.store.read_snapshot(name)
-        # prefix-extension is sound only when both chains start from
-        # the SAME snapshot (byte-identical, None included): a stale
-        # replica snapshot under a prefix-compatible WAL would splice
-        # recent frames onto old state and silently diverge
-        if primary_snap == replica_snap:
-            replica_wal = target.store.read_wal(name)
-            if primary_wal[: len(replica_wal)] == replica_wal:
-                suffix = primary_wal[len(replica_wal):]
-                if suffix:
-                    target.store.append(name, suffix)
-                    self._count(replica_catchups=1)
-                return
-        # divergent (or past a truncation): snapshot-copy the chain
-        if primary_snap is not None:
-            target.store.install_snapshot(name, primary_snap)
+    def deliver(target: _Target) -> None:
+        if (
+            target.synced
+            and target.error is None
+            and target.store.wal_offset(name) == base_offset
+        ):
+            target.store.append(name, blob)
         else:
-            try:
-                target.store.snapshot_path(name).unlink()
-            except OSError:
-                pass
-        target.store.overwrite_wal(name, primary_wal)
-        self._count(replica_snapshot_copies=1)
+            # the replica missed something (an earlier failed ship, a
+            # truncation, or it was never verified): re-derive its
+            # chain from the primary's current bytes, which already
+            # include this blob
+            _sync_target(service, shard, target)
+        _count(service, replica_frames_shipped=count,
+               replica_bytes_shipped=len(blob))
 
-    # -- promotion and rejoin ----------------------------------------------------
+    with shard.replica_lock:
+        shard.shipped_frames += count
+        shard.shipped_offset = base_offset + len(blob)
+        _deliver(service, shard, deliver)
 
-    def promote(self, name: str, label: Optional[str] = None) -> _Target:
-        """Remove and return the shard's most-caught-up usable target
-        (or the named one).  Ranked by cumulative acked frames, then
-        by the decoded on-disk chain — the tiebreak that decides when
-        the manager's in-memory acks are cold (restart failover).
-        Raises :class:`NoPromotableReplicaError` when no registered
-        replica has a readable chain."""
-        with self._shard_lock(name):
-            table = self._targets_for(name)
-            if label is not None and label not in table:
-                raise NoPromotableReplicaError(name, f"no replica labeled {label!r}")
-            best = None
-            best_key = None
-            for target in table.values() if label is None else [table[label]]:
-                summary = target.store.chain_summary(name)
-                if not summary["readable"]:
-                    if label is not None:
-                        raise NoPromotableReplicaError(
-                            name, f"replica {label!r}: {summary.get('error')}"
-                        )
-                    continue
-                key = (
-                    target.acked_frames,
-                    int(summary["snapshot"]),
-                    summary["frames"],
-                    summary["rows"],
-                    target.store.label,
-                )
-                if best_key is None or key > best_key:
-                    best, best_key = target, key
-            if best is None:
-                raise NoPromotableReplicaError(
-                    name, "no readable chain" if table else "no replica registered"
-                )
-            del table[best.store.label]
-            return best
 
-    def bump_epoch(self, name: str) -> int:
-        with self._shard_lock(name):
-            self.epochs[name] = self.epochs.get(name, 0) + 1
-            return self.epochs[name]
+def ship_snapshot(service, shard, payload: str) -> None:
+    def deliver(target: _Target) -> None:
+        target.store.install_snapshot(shard.name, payload)
+        _count(service, replica_snapshot_installs=1)
 
-    def add_target(self, name: str, store: ShardStore) -> _Target:
-        """Register (anti-entropy first) one store as a replica of one
-        shard — the rejoin path.  Raises :class:`ReplicationError`
-        when the store's disk refuses the catch-up."""
-        with self._shard_lock(name):
-            target = _Target(store)
-            try:
-                self._sync_target(name, target)
-            except OSError as exc:
-                raise ReplicationError(
-                    f"shard {name!r}: rejoin of {store.label!r} failed: {exc}"
-                ) from exc
-            self._primary_offset[name] = self.service.shard_store(
-                name
-            ).wal_offset(name)
-            self._targets_for(name)[store.label] = target
-            self._ack(name, target)
-            return target
+    with shard.replica_lock:
+        # the primary's WAL is empty right after the truncation the
+        # caller just performed; aligned replicas restart at offset 0
+        shard.shipped_offset = 0
+        _deliver(service, shard, deliver)
 
-    def retire(self, name: str) -> List[ShardStore]:
-        """Forget a shard an evolution retired; returns the stores that
-        were its targets, for the caller to clear."""
-        with self._shard_lock(name):
-            for table in (self._primary_frames, self._primary_offset, self.epochs):
-                table.pop(name, None)
-            return [t.store for t in self._targets.pop(name, {}).values()]
 
-    # -- observability -----------------------------------------------------------
+def _deliver(service, shard, deliver) -> None:
+    """Run ``deliver`` against every target of one shard (its replica
+    lock held): a target that took it is acked, one whose disk refused
+    is marked behind — a replica fault never reaches the primary."""
+    for target in shard.targets.values():
+        try:
+            deliver(target)
+        except OSError as exc:
+            target.error = f"{type(exc).__name__}: {exc}"
+            target.synced = False
+            _count(service, replica_ship_failures=1)
+            _log.warning(
+                "replica %s behind on shard %s: %s",
+                target.store.label, shard.name, target.error,
+            )
+        else:
+            _ack(shard, target)
 
-    def lag(self, name: str) -> Dict[str, Dict[str, object]]:
-        """Per-replica lag for one shard: frames behind the primary's
-        cumulative count, seconds since the last ack, the acked
-        replication ``(epoch, offset)``, and the last error."""
-        with self._shard_lock(name):
-            # read under the lock: a reader that waited out an
-            # in-flight ship must not see that ship's ack in its future
-            now = time.monotonic()
-            primary_frames = self._primary_frames.get(name, 0)
-            report: Dict[str, Dict[str, object]] = {}
-            for label, target in self._targets_for(name).items():
-                report[label] = {
-                    "lag_frames": max(0, primary_frames - target.acked_frames),
-                    "seconds_since_ack": (
-                        None if target.last_ack is None
-                        else round(now - target.last_ack, 6)
-                    ),
-                    "acked_epoch": target.acked_epoch,
-                    "acked_offset": target.acked_offset,
-                    "error": target.error,
-                }
-            return report
+
+def _ack(shard, target: _Target) -> None:
+    target.acked_offset = shard.shipped_offset
+    target.acked_frames = shard.shipped_frames
+    target.acked_epoch = shard.replication_epoch
+    target.last_ack = time.monotonic()
+    target.error = None
+    target.synced = True
+
+
+def _sync_target(service, shard, target: _Target) -> None:
+    """Anti-entropy: make one replica's chain byte-identical to the
+    primary's.  Prefix-extension when possible (ship the missing WAL
+    suffix), snapshot-copy otherwise.  Raises ``OSError`` when either
+    side's disk refuses."""
+    name, primary, replica = shard.name, shard.store, target.store
+    primary_wal = primary.read_wal(name)
+    primary_snap = primary.read_snapshot(name)
+    # prefix-extension is sound only when both chains start from the
+    # SAME snapshot (byte-identical, None included): a stale replica
+    # snapshot under a prefix-compatible WAL would splice recent
+    # frames onto old state and silently diverge
+    if primary_snap == replica.read_snapshot(name):
+        replica_wal = replica.read_wal(name)
+        if primary_wal[: len(replica_wal)] == replica_wal:
+            suffix = primary_wal[len(replica_wal):]
+            if suffix:
+                replica.append(name, suffix)
+                _count(service, replica_catchups=1)
+            return
+    # divergent (or past a truncation): snapshot-copy the chain
+    if primary_snap is not None:
+        replica.install_snapshot(name, primary_snap)
+    else:
+        try:
+            replica.snapshot_path(name).unlink()
+        except OSError:
+            pass
+    replica.overwrite_wal(name, primary_wal)
+    _count(service, replica_snapshot_copies=1)
+
+
+# -- promotion and rejoin --------------------------------------------------------
+
+
+def promote(shard, label: Optional[str] = None) -> _Target:
+    """Remove and return the shard's most-caught-up usable target (or
+    the named one).  Ranked by cumulative acked frames, then by the
+    decoded on-disk chain — the tiebreak that decides when the
+    in-memory acks are cold (restart failover).  Raises
+    :class:`NoPromotableReplicaError` when no registered replica has a
+    readable chain."""
+    name, table = shard.name, shard.targets
+    with shard.replica_lock:
+        if label is not None and label not in table:
+            raise NoPromotableReplicaError(name, f"no replica labeled {label!r}")
+        best = None
+        best_key = None
+        for target in table.values() if label is None else [table[label]]:
+            summary = target.store.chain_summary(name)
+            if not summary["readable"]:
+                if label is not None:
+                    raise NoPromotableReplicaError(
+                        name, f"replica {label!r}: {summary.get('error')}"
+                    )
+                continue
+            key = (
+                target.acked_frames,
+                int(summary["snapshot"]),
+                summary["frames"],
+                summary["rows"],
+                target.store.label,
+            )
+            if best_key is None or key > best_key:
+                best, best_key = target, key
+        if best is None:
+            raise NoPromotableReplicaError(
+                name, "no readable chain" if table else "no replica registered"
+            )
+        del table[best.store.label]
+        return best
+
+
+def add_target(service, shard, store: ShardStore) -> _Target:
+    """Register (anti-entropy first) one store as a replica of one
+    shard — the rejoin path.  Raises :class:`ReplicationError` when
+    the store's disk refuses the catch-up."""
+    with shard.replica_lock:
+        target = _Target(store)
+        try:
+            _sync_target(service, shard, target)
+        except OSError as exc:
+            raise ReplicationError(
+                f"shard {shard.name!r}: rejoin of {store.label!r} failed: {exc}"
+            ) from exc
+        shard.shipped_offset = shard.store.wal_offset(shard.name)
+        shard.targets[store.label] = target
+        _ack(shard, target)
+        return target
+
+
+# -- observability ---------------------------------------------------------------
+
+
+def lag(shard) -> Dict[str, Dict[str, object]]:
+    """Per-replica lag for one shard: frames behind the primary's
+    cumulative count, seconds since the last ack, the acked
+    replication ``(epoch, offset)``, and the last error."""
+    with shard.replica_lock:
+        # read under the lock: a reader that waited out an in-flight
+        # ship must not see that ship's ack in its future
+        now = time.monotonic()
+        return {
+            label: {
+                "lag_frames": max(0, shard.shipped_frames - target.acked_frames),
+                "seconds_since_ack": (
+                    None if target.last_ack is None
+                    else round(now - target.last_ack, 6)
+                ),
+                "acked_epoch": target.acked_epoch,
+                "acked_offset": target.acked_offset,
+                "error": target.error,
+            }
+            for label, target in shard.targets.items()
+        }
+
+
+def __getattr__(name: str):
+    # the service given a replica list (``replicas=[...]``), under the
+    # name callers of the replication layer import.  It lives in
+    # repro.weak.sharded, which imports this module, so the alias
+    # resolves on first use instead of at import
+    if name == "ReplicatedShardedService":
+        from repro.weak.sharded import ShardedWeakInstanceService
+
+        return ShardedWeakInstanceService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -107,6 +107,7 @@ from repro.schema.attributes import AttributeSet, AttrsLike
 from repro.schema.database import DatabaseSchema
 from repro.schema.evolution import EvolutionOp, evolution_op_from_json
 from repro.schema.relation import RelationScheme
+from repro.weak import replication
 from repro.weak.durable import (
     _SNAPSHOT_TMP,
     SCHEMA_LOG_NAME,
@@ -322,9 +323,12 @@ class _SchemeShard:
     window plans probe its FD indexes and the value index
     :meth:`bucket` builds per attribute on first use.  Mutations bump
     :attr:`version`, the stamp cached plan results are keyed on.
-    Beside that: the write lock, status and last error, and the
-    durable part (store, WAL, void flag, session table, demoted store;
-    ``None`` on an in-memory service).
+    Beside that: the write lock, status and last error, the durable
+    part (store, WAL, void flag, session table, demoted store; ``None``
+    on an in-memory service) and the replicated part — one target per
+    replica, the frames and WAL end offset shipped so far, the
+    replication epoch, and the replica lock held across replica I/O
+    (:mod:`repro.weak.replication`).
     """
 
     __slots__ = (
@@ -332,6 +336,8 @@ class _SchemeShard:
         "_value_index",
         "lock", "status", "error",
         "store", "wal", "void", "sessions", "demoted",
+        "targets", "shipped_frames", "shipped_offset", "replication_epoch",
+        "replica_lock",
     )
 
     def __init__(
@@ -339,6 +345,7 @@ class _SchemeShard:
         scheme: RelationScheme,
         restriction: IndependenceReport,
         stats: ShardedServiceStats,
+        replicas: Sequence[ShardStore] = (),
     ):
         # the checker's scheme object (a memoized analysis may hand back
         # an equal copy): every stored tuple shares its AttributeSet
@@ -367,11 +374,22 @@ class _SchemeShard:
         self.sessions: Optional[Dict[str, dict]] = None
         #: the store a failover demoted, for the default rejoin
         self.demoted = None
+        #: replica label → shipping state; a promotion removes one
+        self.targets = {store.label: replication._Target(store) for store in replicas}
+        #: cumulative frames shipped — the monotone measure lag is
+        #: computed against (snapshot truncations reset offsets, never
+        #: this) — and the WAL end offset the last ship reached
+        self.shipped_frames = 0
+        self.shipped_offset = 0
+        #: bumped by every promotion
+        self.replication_epoch = 0
+        self.replica_lock = threading.RLock()
 
     def adopt(self, fresh: "_SchemeShard") -> None:
         """Take over the maintenance state of a same-named shard rebuilt
-        off to the side; lock, status and the durable part stay, and the
-        version continues so stamped caches see the change."""
+        off to the side; lock, status, the durable and the replicated
+        part stay, and the version continues so stamped caches see the
+        change."""
         self.scheme = fresh.scheme
         self.cover = fresh.cover
         self.checker = fresh.checker
@@ -499,9 +517,8 @@ def _fails_over(method):
         try:
             return method(self, *args, **kwargs)
         except ShardQuarantinedError as exc:
-            if exc.status != SHARD_QUARANTINED or not self._manager.has_targets(
-                exc.shard
-            ):
+            shard = self._shards.get(exc.shard)
+            if exc.status != SHARD_QUARANTINED or shard is None or not shard.targets:
                 raise
             try:
                 self.failover(exc.shard)
@@ -545,7 +562,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     DEFAULT_SNAPSHOT_INTERVAL = 4096
     #: snapshot files kept per shard (the newest plus K-1 predecessors
     #: in a rename chain) — the rollback depth of ``repair``
-    DEFAULT_SNAPSHOT_GENERATIONS = 3
+    SNAPSHOT_GENERATIONS = 3
     #: transient-I/O-error retries before a shard degrades/quarantines
     IO_RETRIES = 2
     #: first retry backoff in seconds (doubles per attempt)
@@ -554,7 +571,9 @@ class ShardedWeakInstanceService(WindowQueryAPI):
     #: ``backoff * 2**attempt * (1 + jitter * U[0,1))`` — without it,
     #: shards that failed together retry together and stampede a
     #: recovering disk in lockstep
-    DEFAULT_IO_JITTER = 0.5
+    IO_JITTER = 0.5
+    #: retired epochs kept for version-pinned reads
+    EPOCH_RETENTION = 2
 
     def __init__(
         self,
@@ -568,10 +587,6 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         io: Optional[StoreIO] = None,
         replicas: Sequence[Union[str, os.PathLike, ShardStore]] = (),
     ):
-        # the manager ships this class's chains, so its module imports
-        # this one; importing it here keeps that one-way at load time
-        from repro.weak.replication import ReplicationManager
-
         self.root = None if root is None else pathlib.Path(root)
         self.snapshot_interval = snapshot_interval
         self.auto_commit = auto_commit
@@ -589,9 +604,14 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         )
         if replicas and self._store is None:
             raise ReproError("replicas copy the shards' logs: pass a root")
-        # exists before recovery: a rolled-forward shard's snapshot
-        # ships its install
-        self._manager = ReplicationManager(self, replicas)
+        # paths get a default-IO store; a duplicate label gets an index
+        # suffix.  Every shard record is built with a target per store.
+        self._replica_stores: List[ShardStore] = []
+        for index, replica in enumerate(replicas):
+            store = replica if isinstance(replica, ShardStore) else ShardStore(replica)
+            if any(s.label == store.label for s in self._replica_stores):
+                store.label = f"{store.label}-{index}"
+            self._replica_stores.append(store)
         manifest = None if self._store is None else _read_manifest(self.root)
         epoch = int(manifest.get("epoch", 0)) if manifest else 0
         if epoch > 0 and manifest.get("schema"):
@@ -637,7 +657,6 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         self.schema_version = epoch
         #: retired epochs kept for version-pinned reads (bounded FIFO)
         self._epochs: Dict[int, _EpochView] = {}
-        self.epoch_retention = 2
         # mid-migration write tap: scheme name → ops accepted on the
         # old shard while its replacement is being built (None: no
         # migration in flight)
@@ -663,8 +682,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         # a shard that opened with no readable chain at all can be
         # rebuilt from a replica right now instead of waiting for the
         # first write to trip over it
-        void = [n for n in names if self._shards[n].void]
-        for name in filter(self._manager.has_targets, void):
+        void = [n for n in names if self._shards[n].void and self._shards[n].targets]
+        for name in void:
             try:
                 self.failover(name)
             except (ReplicationError, ShardQuarantinedError) as exc:
@@ -713,7 +732,10 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         validated through its fresh checker (raises
         :class:`InconsistentStateError` when they violate the cover)."""
         shard = _SchemeShard(
-            scheme, report.scheme_restriction(scheme.name), self.stats
+            scheme,
+            report.scheme_restriction(scheme.name),
+            self.stats,
+            self._replica_stores,
         )
         shard.load_fresh(list(rows))
         return shard
@@ -748,7 +770,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         counting a snapshot fallback and mid-file WAL corruption, and
         cutting the WAL back to its intact prefix (appends after a bad
         tail would be lost)."""
-        chain = read_chain(store, name, self.DEFAULT_SNAPSHOT_GENERATIONS)
+        chain = read_chain(store, name, self.SNAPSHOT_GENERATIONS)
         for bad in (e for e in chain.snapshots if not e["ok"]):
             _log.warning("shard %s: bad snapshot generation %d: %s",
                          name, bad["generation"], bad["error"])
@@ -910,7 +932,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         for name in sorted(rolled):
             self._snapshot_locked(name)
         if self.schema_version > 0:
-            stores, live = (self._store, *self._manager.stores), self._shards
+            stores, live = (self._store, *self._replica_stores), self._shards
             retired = {n for s in stores for n in s.retired_dirs(live)}
             for name in sorted(retired):
                 self._retire(name)
@@ -1040,7 +1062,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             if shard.status != SHARD_DEGRADED:
                 return shard.status == SHARD_SERVING
             try:
-                self._commit_wal(name, shard.wal)
+                self._commit_wal(shard)
             except ShardQuarantinedError:
                 return False
             self._set_status(name, SHARD_SERVING)
@@ -1057,7 +1079,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                 shard.wal.stage(record)
             self.stats.wal_records_appended += len(fresh)
 
-    def _commit_wal(self, name: str, wal: _ShardWal) -> PyTuple[int, int]:
+    def _commit_wal(self, shard: _SchemeShard) -> PyTuple[int, int]:
         """Drain, write, and fsync one WAL as a single critical
         section under its I/O lock; returns ``(bytes, records)``.
 
@@ -1074,6 +1096,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         degrades or quarantines the shard (:meth:`_shard_fault`), and
         raises :class:`~repro.exceptions.ShardQuarantinedError` — it
         never latches the whole service."""
+        name, wal = shard.name, shard.wal
         with wal.io_lock:
             with self._stage_lock:
                 blob, count = wal.take_pending()
@@ -1105,7 +1128,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     time.sleep(
                         self.IO_BACKOFF
                         * (2 ** attempt)
-                        * (1.0 + self.DEFAULT_IO_JITTER * self._rng.random())
+                        * (1.0 + self.IO_JITTER * self._rng.random())
                     )
                     attempt += 1
             if attempt:
@@ -1117,9 +1140,9 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             # ship while still holding the WAL's I/O lock: frames reach
             # every replica in exactly WAL order, and before the commit
             # returns — acked ⟹ durable-on-quorum
-            if self._manager.has_targets(name):
+            if shard.targets:
                 self._fault("ship.begin")
-                self._manager.ship(name, blob, start, count)
+                replication.ship(self, shard, blob, start, count)
             self._fault("commit.post-fsync")
         return len(blob), count
 
@@ -1154,7 +1177,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                 if shard is None:
                     continue
                 try:
-                    wrote, count = self._commit_wal(name, shard.wal)
+                    wrote, count = self._commit_wal(shard)
                 except ShardQuarantinedError as exc:
                     failure = failure if failure is not None else exc
                     continue
@@ -1218,7 +1241,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             else None,
         )
         shard.store.write_snapshot(
-            name, payload, self.DEFAULT_SNAPSHOT_GENERATIONS, self._fault
+            name, payload, self.SNAPSHOT_GENERATIONS, self._fault
         )
         self._fault("snapshot.installed")
         with shard.wal.io_lock:  # no commit may write between snapshot and cut
@@ -1227,8 +1250,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             # chains diverge at the next shipped frame (base offset
             # restarts at zero); still under the WAL's I/O lock so
             # no frame can interleave between truncate and ship
-            if self._manager.has_targets(name):
-                self._manager.ship_snapshot(name, payload)
+            if shard.targets:
+                replication.ship_snapshot(self, shard, payload)
         with self._stage_lock:  # snapshots of two shards may finish together
             self.stats.snapshots_written += 1
         self._fault("snapshot.done")
@@ -1735,7 +1758,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                 self._epochs[self.schema_version] = _EpochView(
                     old_schema, old_fds, frozen
                 )
-                while len(self._epochs) > self.epoch_retention:
+                while len(self._epochs) > self.EPOCH_RETENTION:
                     self._epochs.pop(next(iter(self._epochs)))
 
                 new_shards: Dict[str, _SchemeShard] = {}
@@ -1835,16 +1858,18 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             shard = before[name]
             self._drop_staged(shard.wal)
             shard.wal.close()
-            self._retire(name, shard.store)
+            self._retire(
+                name, shard.store, *(t.store for t in shard.targets.values())
+            )
         self._fault("evolve.done")
 
     def _retire(self, name: str, *stores: ShardStore) -> None:
-        """Forget a scheme an evolution retired, on every store: drop
-        its replica targets, then remove ``shards/<name>/`` from the
-        primary root, every replica root and ``stores`` (the retired
-        shard's own store, a promoted replica's after a failover).
+        """Forget a scheme an evolution retired, on every store: remove
+        ``shards/<name>/`` from the primary root, every replica root
+        and ``stores`` (the retired record's own store and its targets'
+        — a promoted replica's and a rejoined one's after a failover).
         The evolution's finalize and the recovery sweep both end here."""
-        stores += (self._store, *self._manager.stores, *self._manager.retire(name))
+        stores += (self._store, *self._replica_stores)
         for store in {store.root: store for store in stores}.values():
             shutil.rmtree(store.shard_dir(name), ignore_errors=True)
 
@@ -1956,7 +1981,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             was_void = shard.void
             with shard.wal.io_lock:
                 self._fault("failover.begin")
-                promoted = self._manager.promote(name, label)
+                promoted = replication.promote(shard, label)
                 # the staged backlog is applied in memory; the post-swap
                 # snapshot below persists it (void shards have no
                 # backlog — they refused every write)
@@ -1971,7 +1996,9 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                 self.reload_shard(name, self._adopt_chain(name, chain))
                 replayed = len(chain.scan.ops)
                 shard.void = False
-            epoch = self._manager.bump_epoch(name)
+            with shard.replica_lock:
+                shard.replication_epoch += 1
+                epoch = shard.replication_epoch
             self._set_status(name, SHARD_SERVING)
             try:
                 # clean snapshot on the promoted store: captures the
@@ -2025,7 +2052,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             with shard.wal.io_lock:
                 self._fault("rejoin.begin")
                 before = store.chain_summary(name)
-                self._manager.add_target(name, store)
+                replication.add_target(self, shard, store)
                 shard.demoted = None
                 self.stats.rejoins += 1
                 self._fault("rejoin.done")
@@ -2041,14 +2068,15 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         """Per-shard replication surface: epoch, per-replica lag
         (frames behind, seconds since last ack), acked offsets, and
         the current primary label."""
+        shards = self._shards
         return {
             "shards": {
                 name: {
-                    "epoch": self._manager.epochs.get(name, 0),
-                    "replicas": self._manager.lag(name),
+                    "epoch": shards[name].replication_epoch,
+                    "replicas": replication.lag(shards[name]),
                     "primary": self.primary_of(name),
                 }
-                for name in sorted(self._shards)
+                for name in sorted(shards)
             },
         }
 

@@ -372,6 +372,78 @@ class TestShardIdentity:
             assert svc.insert("R1", row(schema, "R1", "c", "d")).accepted
 
 
+class TestReplicationStatusLifecycle:
+    """``replication_status()`` reads each shard record's own
+    replication state, so it follows the record through evolutions,
+    failovers and rejoins."""
+
+    LABELS = {"r1", "r2"}
+
+    def test_split_lists_exactly_the_new_epochs_shards(self, tmp_path):
+        schema, fds = disjoint_star_schema(2)
+        roots = [tmp_path / label for label in sorted(self.LABELS)]
+        with ReplicatedShardedService(
+            schema, fds, tmp_path / "d", replicas=roots
+        ) as svc:
+            svc.insert("R2", row(schema, "R2", 1, "a", "b"))
+            svc.evolve(
+                parse_evolution_op("split R2 -> R2a(K2,A2a) + R2b(K2,A2b)")
+            )
+            svc.insert("R2a", {"K2": 2, "A2a": "c"})
+            shards = svc.replication_status()["shards"]
+            assert sorted(shards) == ["R1", "R2a", "R2b"]
+            for name, entry in shards.items():
+                assert set(entry["replicas"]) == self.LABELS, name
+                for lag in entry["replicas"].values():
+                    assert lag["lag_frames"] == 0 and lag["error"] is None
+            for lag in shards["R2a"]["replicas"].values():
+                assert lag["acked_offset"] > 0
+            for root in roots:
+                assert chain_bytes(root, "R2a") == chain_bytes(
+                    tmp_path / "d", "R2a"
+                )
+
+    def test_failover_then_rejoin(self, tmp_path, chain2):
+        schema, fds = chain2
+        roots = [tmp_path / label for label in sorted(self.LABELS)]
+        with ReplicatedShardedService(
+            schema, fds, tmp_path / "d", replicas=roots
+        ) as svc:
+            svc.insert("R1", row(schema, "R1", "a", "b"))
+            promoted = svc.failover("R1")["promoted"]
+            status = svc.replication_status()["shards"]
+            assert status["R1"]["epoch"] == 1
+            assert status["R1"]["primary"] == promoted
+            assert set(status["R1"]["replicas"]) == self.LABELS - {promoted}
+            assert status["R2"]["epoch"] == 0
+            assert set(status["R2"]["replicas"]) == self.LABELS
+            svc.rejoin("R1")
+            svc.insert("R1", row(schema, "R1", "c", "d"))
+            entry = svc.replication_status()["shards"]["R1"]
+            assert entry["epoch"] == 1
+            assert set(entry["replicas"]) == (
+                self.LABELS - {promoted}
+            ) | {"primary"}
+            for lag in entry["replicas"].values():
+                assert lag["lag_frames"] == 0 and lag["acked_epoch"] == 1
+
+    def test_same_name_rebuild_keeps_epoch_and_labels(self, tmp_path, chain2):
+        schema, fds = chain2
+        roots = [tmp_path / label for label in sorted(self.LABELS)]
+        with ReplicatedShardedService(
+            schema, fds, tmp_path / "d", replicas=roots
+        ) as svc:
+            svc.insert("R1", row(schema, "R1", "a", "b"))
+            svc.failover("R1")
+            before = svc.replication_status()["shards"]["R1"]
+            result = svc.evolve(parse_evolution_op("add-fd A2 -> A1"))
+            assert result.rebuilt == ("R1",)
+            after = svc.replication_status()["shards"]["R1"]
+            assert after["epoch"] == before["epoch"] == 1
+            assert set(after["replicas"]) == set(before["replicas"])
+            assert after["primary"] == before["primary"]
+
+
 class TestFailover:
     def test_crash_points_exported(self):
         assert "failover.begin" in REPLICATION_CRASH_POINTS
