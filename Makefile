@@ -16,7 +16,7 @@ export PYTHONPATH
 help:
 	@echo "targets:"
 	@echo "  test                    - tier-1 test suite (pytest -x -q over tests/)"
-	@echo "  test-fault              - durability suite: WAL/snapshot units, crash-point recovery matrix, I/O-fault isolation (quarantine/repair), server concurrency (includes slow stress tests)"
+	@echo "  test-fault              - durability suite: WAL/snapshot units, crash-point recovery matrix, I/O-fault isolation (quarantine/repair), server concurrency (includes slow stress tests), golden store bytes, frame codec and format-1 stores"
 	@echo "  test-evolution          - schema-evolution suite: op catalog, incremental re-check vs full analysis, online migration oracles, migration crash-point recovery matrix"
 	@echo "  test-replication        - replication suite: WAL shipping/anti-entropy units, exactly-once sessions, kill-and-failover matrix under concurrent load"
 	@echo "  loc                     - design-size measures: per-module line counts of src/repro/weak and the named parameters of each public service constructor, then per-module line counts of src/repro/data and src/repro/query"
@@ -47,11 +47,13 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The full durability story in one target: WAL/snapshot unit tests,
-# the kill-and-recover matrix over every injected crash point, and the
+# the kill-and-recover matrix over every injected crash point, the
 # multi-writer server suite — slow stress tests included (the tier-1
-# run skips nothing either; this target just scopes the fault files).
+# run skips nothing either; this target just scopes the fault files) —
+# and the on-disk format: the golden-store bytes, the one-frame codec,
+# and a committed store of the pre-frame format that must still open.
 test-fault:
-	$(PYTHON) -m pytest tests/test_durable.py tests/test_durable_recovery.py tests/test_fault_isolation.py tests/test_server_concurrency.py -q
+	$(PYTHON) -m pytest tests/test_durable.py tests/test_durable_recovery.py tests/test_fault_isolation.py tests/test_server_concurrency.py tests/test_golden_store.py tests/test_store_format.py -q
 
 # The whole evolution story in one target: op parsing/application units,
 # incremental-vs-full independence agreement, online-migration oracle
@@ -64,7 +66,7 @@ test-evolution:
 # units (property test for replay idempotence included) plus the
 # kill-and-failover matrix under concurrent server load.
 test-replication:
-	$(PYTHON) -m pytest tests/test_replication.py tests/test_replication_recovery.py -q
+	$(PYTHON) -m pytest tests/test_replication.py tests/test_replication_recovery.py tests/test_replica_labels.py -q
 
 # The two "quality of design" measures ROADMAP tracks: how many lines
 # src/repro/weak holds, module by module, and how many named knobs each

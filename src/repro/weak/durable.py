@@ -26,13 +26,15 @@ the protocol; this module holds what it writes and reads.  Concretely:
 * **Snapshots.**  Periodically (every ``snapshot_interval`` WAL
   records per shard, or on demand) a shard's full relation is written
   to ``snapshot.json`` — tmp file, ``fsync``, atomic rename, directory
-  ``fsync`` — and the WAL is truncated.  The snapshot is taken with
-  the shard's pending records committed first (under the shard lock),
-  so every operation a snapshot reflects is also on disk; records a
-  crash loses are therefore always a *suffix* of the shard's history,
-  which is what makes replay-over-snapshot idempotent (set-semantics
-  inserts and deletes: the last surviving operation on a tuple decides
-  its membership, replayed or not).
+  ``fsync`` — and the WAL is truncated.  The frame holds the rows, the
+  epoch and the session table (whose marks the truncation would
+  lose).  The snapshot is taken with the shard's pending records
+  committed first (under the shard lock), so every operation a
+  snapshot reflects is also on disk; records a crash loses are
+  therefore always a *suffix* of the shard's history, which is what
+  makes replay-over-snapshot idempotent (set-semantics inserts and
+  deletes: the last surviving operation on a tuple decides its
+  membership, replayed or not).
 * **Recovery.**  Opening an existing directory reads each shard's
   chain once — :func:`read_chain`: the newest readable snapshot
   generation, then the WAL tail replayed over it (stopping at a torn
@@ -45,12 +47,16 @@ the protocol; this module holds what it writes and reads.  Concretely:
   license for that (any combination of per-shard satisfying states is
   satisfying).
 
-**One chain, one layout.**  A shard's durable identity is its chain:
-snapshot generations plus a WAL tail behind one :class:`StoreIO`.
-:class:`ShardStore` spells out the layout, :func:`read_chain` reads a
-chain and :func:`_frames` parses frames — for recovery, ``repair``,
-failover, the replica summary and :func:`verify_store` alike.  Replica
-targets are :class:`ShardStore` objects too
+**One chain, one layout, one codec.**  A shard's durable identity is
+its chain: snapshot generations plus a WAL tail behind one
+:class:`StoreIO`.  :class:`ShardStore` spells out the layout and
+:func:`read_chain` reads a chain — for recovery, ``repair``, failover,
+the replica summary and :func:`verify_store` alike.  Every file is
+written by one encoder, :func:`_frame`, under one CRC rule: a snapshot
+and ``MANIFEST.json`` are exactly one frame (:func:`_unframe`); any
+other file content is read as format 1, the plain JSON of older stores
+(kept under the ``.json`` names), until its next write frames it.
+Replica targets are :class:`ShardStore` objects too
 (:mod:`repro.weak.replication`): shipped bytes land verbatim.
 
 **Fault injection.**  Every durability-critical boundary calls the
@@ -116,7 +122,9 @@ migrated shard's epoch-stamped snapshot is durable — only then are
 dropped schemes' directories removed).  Snapshots carry the epoch they
 were taken under; reopening an evolved store rebuilds the service from
 the manifest's catalog, so the constructor's (original) schema only
-has to match what the store was *created* with.
+has to match what the store was *created* with.  A void chain
+(snapshot files, none readable) is never rolled forward: its shard
+opens quarantined, and the retired sources stay on disk.
 
 **Threading.**  Mutations and snapshots are safe under concurrent use:
 a reentrant shard lock orders apply+stage and a snapshot's capture,
@@ -128,9 +136,9 @@ lock is held across two shards' I/O, so one shard's stalled disk (or
 stalled replica) never stalls another.  Reads are *not*
 internally locked — single-threaded callers need nothing, and the
 multi-client front end (:mod:`repro.weak.server`) provides the read
-locking discipline.  Values must be JSON-serializable scalars (the
-DSL's strings and integers are); anything else is rejected before the
-operation applies.
+locking discipline.  A store holds str, int, bool, None and finite
+float values (:func:`_check_storable`); anything else is rejected
+before the operation applies.
 
 ``DurableShardedService`` is the name older callers import for the
 one service class.
@@ -140,6 +148,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import pathlib
 import re
@@ -215,9 +224,12 @@ SNAPSHOT_NAME = "snapshot.json"
 _SNAPSHOT_TMP = "snapshot.json.tmp"
 #: ``snapshot.json`` (generation 0) or ``snapshot.json.<k>``
 _SNAPSHOT_FILE = re.compile(re.escape(SNAPSHOT_NAME) + r"(?:\.([1-9][0-9]*))?")
-_FORMAT = 1
+#: the ``format`` of a framed snapshot or manifest (1: plain JSON)
+_FORMAT = 2
+#: the value types a store may hold (:func:`_check_storable`)
+_STORABLE = frozenset((str, int, bool, float, type(None)))
 
-#: frames larger than this never come out of :func:`_encode_record`;
+#: frames larger than this never come out of :func:`_frame`;
 #: the resync scanner uses it to reject garbage "headers" cheaply
 _MAX_FRAME_PAYLOAD = 1 << 24
 
@@ -247,8 +259,8 @@ class StoreIO:
     def read_bytes(self, path: pathlib.Path) -> bytes:
         return path.read_bytes()
 
-    def snapshot_write(self, path: pathlib.Path, payload: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
+    def snapshot_write(self, path: pathlib.Path, payload: bytes) -> None:
+        with open(path, "wb") as handle:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
@@ -270,18 +282,24 @@ class DurableUnavailableError(ReproError):
 
 
 
-def _encode_record(
-    op: str, values: Sequence[object], meta: Optional[dict] = None
-) -> bytes:
-    """One framed WAL record.  Raises :class:`ReproError` (before any
-    state mutates — callers encode first) on non-JSON values.
+def _check_storable(values: Sequence[object]) -> None:
+    """The one rule for what a store may hold: each value is a ``str``,
+    ``int``, ``bool``, ``None`` or a finite ``float`` — what a JSON
+    round trip gives back unchanged and hashable.  Raises
+    :class:`ReproError` otherwise; callers check before applying."""
+    for value in values:
+        kind = type(value)
+        if kind not in _STORABLE or (kind is float and not math.isfinite(value)):
+            raise ReproError(
+                "durable serving requires JSON-serializable scalar tuple "
+                f"values (str, int, bool, None, finite float), not {value!r}"
+            )
 
-    ``meta`` rides as an optional third JSON element — today the
-    exactly-once session stamp ``{"sid": ..., "seq": ...}``.  Frames
-    without it are byte-identical to the pre-session format, so old
-    stores replay unchanged and new frames replay on old readers that
-    ignore the extra element."""
-    body = [op, list(values)] if meta is None else [op, list(values), meta]
+
+def _frame(body: object) -> bytes:
+    """The one on-disk encoder: ``body`` as compact JSON behind a
+    ``[u32 length][u32 crc32]`` header.  A WAL and ``schema.log`` are
+    runs of frames; a snapshot and the manifest are one frame each."""
     try:
         payload = json.dumps(
             body, separators=(",", ":"), allow_nan=False
@@ -291,6 +309,32 @@ def _encode_record(
             f"durable serving requires JSON-serializable tuple values: {exc}"
         ) from None
     return _FRAME.pack(len(payload), crc32(payload)) + payload
+
+
+def _unframe(data: bytes) -> Optional[bytes]:
+    """The payload of ``data`` when the whole of it is one intact
+    frame, else ``None``."""
+    if len(data) < _FRAME.size:
+        return None
+    length, crc = _FRAME.unpack_from(data)
+    payload = data[_FRAME.size:]
+    return payload if length == len(payload) and crc32(payload) == crc else None
+
+
+def _encode_record(
+    op: str, values: Sequence[object], meta: Optional[dict] = None
+) -> bytes:
+    """One WAL record: :func:`_frame` of ``[op, values, meta?]``.
+    Raises :class:`ReproError` (before any state mutates — callers
+    encode first) on a value a store may not hold.
+
+    ``meta`` rides as an optional third JSON element — today the
+    exactly-once session stamp ``{"sid": ..., "seq": ...}``.  Frames
+    without it are byte-identical to the pre-session format, so old
+    stores replay unchanged and new frames replay on old readers that
+    ignore the extra element."""
+    _check_storable(values)
+    return _frame([op, list(values)] if meta is None else [op, list(values), meta])
 
 
 def _frames(data: bytes, offset: int = 0, strict: bool = False):
@@ -387,7 +431,7 @@ def _scan_records(data: bytes) -> WalScan:
     offset = good + 1
     while offset < total:
         stranded = 0
-        for offset, _crc, _frame in _frames(data, offset, strict=True):
+        for offset, _crc, _record in _frames(data, offset, strict=True):
             stranded += 1
         if stranded:
             # valid frames after a bad region: mid-file corruption
@@ -398,61 +442,14 @@ def _scan_records(data: bytes) -> WalScan:
     return scan
 
 
-def _snapshot_payload(
-    name: str,
-    attributes: Sequence[str],
-    rows: List[list],
-    epoch: int = 0,
-    sessions: Optional[Dict[str, list]] = None,
-) -> str:
-    """Serialize one shard snapshot.  The ``crc`` covers the tuples
-    serialization, so a bit-flip anywhere in the data is detected by
-    recovery/``verify-store`` and the generation chain falls back.
-    ``epoch`` stamps the schema version the rows belong to — recovery
-    rolls a shard forward when its snapshot predates the manifest's
-    epoch (pre-epoch snapshots parse as epoch 0).  ``sessions`` is the
-    shard's exactly-once table (``{sid: [seq, op-or-null]}``): the WAL
-    truncation that follows a snapshot discards the session-stamped
-    frames, so the high-water marks must ride in the snapshot or a
-    restart would forget them and re-apply a retried duplicate."""
-    tuples_json = json.dumps(rows, separators=(",", ":"))
-    sessions_part = ""
-    if sessions:
-        sessions_part = '"sessions":%s,' % json.dumps(
-            sessions, separators=(",", ":"), sort_keys=True
-        )
-    return (
-        '{"format":%d,"scheme":%s,"epoch":%d,%s"attributes":%s,"crc":%d,"tuples":%s}'
-        % (
-            _FORMAT,
-            json.dumps(name),
-            epoch,
-            sessions_part,
-            json.dumps(list(attributes)),
-            crc32(tuples_json.encode("utf-8")),
-            tuples_json,
-        )
-    )
-
-
 def _schema_log_records(data: bytes) -> PyTuple[List[Dict[str, object]], int]:
     """Parse a ``schema.log`` image: one dict per committed evolution,
     in apply order, plus the intact prefix's byte length.  A torn tail
     (crash mid-append) ends the parse — a record not fully on disk was
     never committed (the manifest replace happens strictly after the
-    log fsync)."""
+    log fsync).  A frame whose CRC holds is what the service wrote."""
     ops, good = _decode_records(data)
-    records: List[Dict[str, object]] = []
-    for op, values in ops:
-        if op != "schema" or not values:
-            continue  # pragma: no cover - foreign record, skip
-        try:
-            record = json.loads(values[0])
-        except (TypeError, ValueError):  # pragma: no cover - crc guards
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records, good
+    return [json.loads(values[0]) for _op, values in ops], good
 
 
 def _schema_to_json(schema: DatabaseSchema) -> List[list]:
@@ -484,17 +481,30 @@ def _fds_from_json(data: object) -> FDSet:
     )
 
 
+def _read_record(data: bytes, what: str) -> PyTuple[dict, bool]:
+    """The object a whole-file record (a snapshot or the manifest)
+    holds, and whether it was framed.  A file that is not one intact
+    frame is read as format 1, the plain JSON of stores written before
+    the frame.  Raises :class:`ReproError`."""
+    payload = _unframe(data)
+    framed = payload is not None
+    try:
+        body = json.loads(payload if framed else data)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ReproError(f"unparsable {what}: {exc}") from None
+    if not isinstance(body, dict):
+        raise ReproError(f"{what} is not an object")
+    if body.get("format") != (_FORMAT if framed else 1):
+        raise ReproError(f"unsupported {what} format {body.get('format')!r}")
+    return body, framed
+
+
 def _parse_snapshot(data: bytes, name: str) -> dict:
     """Parse and validate one snapshot image; raises
-    :class:`ReproError` on any structural or CRC mismatch.  Snapshots
-    written before the ``crc`` field are accepted without the check."""
-    try:
-        snap = json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ReproError(f"unparsable snapshot: {exc}") from None
-    if not isinstance(snap, dict) or snap.get("format") != _FORMAT:
-        raise ReproError(f"unsupported snapshot format {snap.get('format')!r}"
-                         if isinstance(snap, dict) else "snapshot is not an object")
+    :class:`ReproError` on any structural or CRC mismatch.  A format-1
+    snapshot's own ``crc`` covers only its tuples' serialization, and
+    one written before that field is accepted without a check."""
+    snap, framed = _read_record(data, "snapshot")
     if snap.get("scheme") != name:
         raise ReproError(
             f"snapshot is for scheme {snap.get('scheme')!r}, not {name!r}"
@@ -503,7 +513,7 @@ def _parse_snapshot(data: bytes, name: str) -> dict:
     if not isinstance(tuples, list) or not all(isinstance(r, list) for r in tuples):
         raise ReproError("snapshot tuples are malformed")
     crc = snap.get("crc")
-    if crc is not None:
+    if not framed and crc is not None:
         tuples_json = json.dumps(tuples, separators=(",", ":"))
         if crc32(tuples_json.encode("utf-8")) != crc:
             raise ReproError("snapshot CRC mismatch (bit rot or torn write)")
@@ -528,7 +538,7 @@ def _sessions_from_snapshot(raw: object) -> Dict[str, dict]:
             seq = int(entry[0])
             kind = entry[1]
         except (TypeError, ValueError, IndexError):
-            continue  # pragma: no cover - snapshot CRC guards
+            continue  # pragma: no cover - only a format-1 table can be malformed
         if kind not in ("+", "-", None):
             continue  # pragma: no cover - defensive
         table[str(sid)] = {
@@ -546,13 +556,10 @@ def _replay_session_frame(
     original changed nothing) legitimately re-logs its sequence."""
     if not meta:
         return
-    sid = meta.get("sid")
-    seq = meta.get("seq")
-    if sid is None or not isinstance(seq, int):
-        return  # pragma: no cover - defensive
-    entry = table.get(str(sid))
+    sid, seq = str(meta["sid"]), meta["seq"]
+    entry = table.get(sid)
     if entry is None or seq >= entry["seq"]:
-        table[str(sid)] = {
+        table[sid] = {
             "seq": seq, "kind": op, "result": None, "staged": False
         }
 
@@ -563,7 +570,7 @@ def _sessions_to_snapshot(table: Dict[str, dict]) -> Dict[str, list]:
     its kind so a post-restart duplicate gets a truthful answer."""
     return {
         sid: [entry["seq"], entry.get("kind")]
-        for sid, entry in table.items()
+        for sid, entry in sorted(table.items())
     }
 
 
@@ -638,7 +645,7 @@ class ShardStore:
     def write_snapshot(
         self,
         name: str,
-        payload: str,
+        payload: bytes,
         generations: int = 1,
         fault: Optional[FaultHook] = None,
     ) -> None:
@@ -669,13 +676,11 @@ class ShardStore:
         it (the ack happens only after this returns)."""
         _write_fsync(self.io, self.wal_path(name), blob, "ab")
 
-    def install_snapshot(self, name: str, payload: Union[str, bytes]) -> None:
+    def install_snapshot(self, name: str, payload: bytes) -> None:
         """Install a shipped snapshot exactly like the primary does,
         then truncate the replica WAL (the primary truncated its own
         in the same breath)."""
         self.shard_dir(name).mkdir(parents=True, exist_ok=True)
-        if isinstance(payload, bytes):
-            payload = payload.decode("utf-8")
         self.write_snapshot(name, payload)
         wal = self.wal_path(name)
         if not wal.exists():
@@ -916,43 +921,34 @@ def _write_manifest(
     rename it over the manifest, fsync the directory.  For an
     evolution this replace IS the commit point: before it the store
     recovers the old epoch, after it the new one."""
-    names = sorted(s.name for s in schema)
     tmp = root / (MANIFEST_NAME + ".tmp")
     io.snapshot_write(
         tmp,
-        json.dumps(
-            {
-                "format": _FORMAT,
-                "schemes": names,
-                "epoch": epoch,
-                "schema": _schema_to_json(schema),
-                "fds": _fds_to_json(fds),
-            },
-            indent=2,
-        ),
+        _frame({
+            "format": _FORMAT,
+            "schemes": sorted(s.name for s in schema),
+            "epoch": epoch,
+            "schema": _schema_to_json(schema),
+            "fds": _fds_to_json(fds),
+        }),
     )
     io.replace(tmp, root / MANIFEST_NAME)
     io.dir_fsync(root)
 
 
 def _read_manifest(root: pathlib.Path) -> Optional[Dict[str, object]]:
-    """The store's manifest, or ``None`` for a fresh directory."""
+    """The store's manifest, or ``None`` for a fresh directory; raises
+    :class:`ReproError` naming the manifest when it is corrupt."""
     path = root / MANIFEST_NAME
     if not path.exists():
         return None
     try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:
+        return _read_record(path.read_bytes(), "manifest")[0]
+    except ReproError as exc:
         raise ReproError(
             f"corrupt durable manifest {path}: {exc}; run "
             f"`repro verify-store {root}` to inspect the store"
         ) from None
-    if manifest.get("format") != _FORMAT:
-        raise ReproError(
-            f"unsupported durable format {manifest.get('format')!r} "
-            f"in {root}"
-        )
-    return manifest
 
 
 # -- offline scrubbing ------------------------------------------------------------
@@ -1027,21 +1023,13 @@ def verify_store(
     shard entry lists its findings.  Raises :class:`ReproError` when
     the directory is not a durable store at all."""
     root = pathlib.Path(root)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise ReproError(f"{root} is not a durable store (no {MANIFEST_NAME})")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, ValueError) as exc:
-        return {
-            "root": str(root),
-            "ok": False,
-            "findings": [f"corrupt manifest: {exc}"],
-            "shards": {},
-        }
+        manifest = _read_manifest(root)
+    except (OSError, ReproError) as exc:
+        return {"root": str(root), "ok": False, "findings": [str(exc)], "shards": {}}
+    if manifest is None:
+        raise ReproError(f"{root} is not a durable store (no {MANIFEST_NAME})")
     findings: List[str] = []
-    if manifest.get("format") != _FORMAT:
-        findings.append(f"unsupported format {manifest.get('format')!r}")
     epoch = int(manifest.get("epoch", 0))
     schema_log: Dict[str, object] = {"records": 0}
     pending_rollforward: set = set()
@@ -1056,32 +1044,21 @@ def verify_store(
             tail = log_path.stat().st_size - good
             if tail:
                 schema_log["torn_tail_bytes"] = tail
-            if records:
-                last = records[-1]
-                try:
-                    last_epoch = int(last.get("epoch", 0))
-                except (TypeError, ValueError):
-                    findings.append("schema.log: unparsable last record")
-                    last_epoch = None
-                if last_epoch is not None and last_epoch < epoch:
-                    findings.append(
-                        f"schema.log ends at epoch {last_epoch} but the "
-                        f"manifest names epoch {epoch}"
-                    )
-                if last_epoch is not None and last_epoch == epoch:
-                    # a crash between the manifest replace and the
-                    # finalize step leaves migrated-in schemes without
-                    # directories yet; recovery rolls them forward, so
-                    # a missing dir for exactly those schemes is
-                    # expected crash residue, not damage
-                    try:
-                        new_names = {s[0] for s in last.get("schema", [])}
-                        old_names = {
-                            s[0] for s in last.get("old_schema", [])
-                        }
-                        pending_rollforward = new_names - old_names
-                    except (TypeError, IndexError):
-                        pending_rollforward = set()
+            # a record with an intact CRC is what the service wrote
+            last = records[-1] if records else None
+            if last and last["epoch"] < epoch:
+                findings.append(
+                    f"schema.log ends at epoch {last['epoch']} but the "
+                    f"manifest names epoch {epoch}"
+                )
+            elif last and last["epoch"] == epoch:
+                # a crash between the manifest replace and the finalize
+                # step leaves migrated-in schemes without directories
+                # yet; recovery rolls them forward, so a missing dir for
+                # exactly those schemes is expected crash residue
+                pending_rollforward = {s for s, _ in last["schema"]} - {
+                    s for s, _ in last["old_schema"]
+                }
     elif epoch > 0:
         findings.append(
             f"manifest names epoch {epoch} but there is no {SCHEMA_LOG_NAME}"

@@ -73,7 +73,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Collection, Dict, Optional
 
 from repro.exceptions import NoPromotableReplicaError, ReplicationError
 from repro.weak.durable import ShardStore
@@ -111,6 +111,17 @@ class _Target:
     #: match alone cannot tell a caught-up chain from an empty WAL
     #: behind a stale snapshot
     synced: bool = False
+
+
+def labeled(store: ShardStore, taken: Collection[str], index: int) -> ShardStore:
+    """``store``, or when ``taken`` holds its label a copy (same root
+    and I/O) labeled ``<label>-<k>`` with the first free ``k`` from
+    ``index`` up: two replicas of one shard never share a label."""
+    label = store.label
+    while label in taken:
+        label = f"{store.label}-{index}"
+        index += 1
+    return store if label == store.label else ShardStore(store.root, store.io, label)
 
 
 def _count(service, **deltas: int) -> None:
@@ -152,7 +163,7 @@ def ship(service, shard, blob: bytes, base_offset: int, count: int) -> None:
         _deliver(service, shard, deliver)
 
 
-def ship_snapshot(service, shard, payload: str) -> None:
+def ship_snapshot(service, shard, payload: bytes) -> None:
     def deliver(target: _Target) -> None:
         target.store.install_snapshot(shard.name, payload)
         _count(service, replica_snapshot_installs=1)
@@ -270,7 +281,7 @@ def add_target(service, shard, store: ShardStore) -> _Target:
     shard — the rejoin path.  Raises :class:`ReplicationError` when
     the store's disk refuses the catch-up."""
     with shard.replica_lock:
-        target = _Target(store)
+        target = _Target(labeled(store, shard.targets, len(shard.targets)))
         try:
             _sync_target(service, shard, target)
         except OSError as exc:
@@ -278,7 +289,7 @@ def add_target(service, shard, store: ShardStore) -> _Target:
                 f"shard {shard.name!r}: rejoin of {store.label!r} failed: {exc}"
             ) from exc
         shard.shipped_offset = shard.store.wal_offset(shard.name)
-        shard.targets[store.label] = target
+        shard.targets[target.store.label] = target
         _ack(shard, target)
         return target
 

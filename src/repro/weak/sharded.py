@@ -120,16 +120,18 @@ from repro.weak.durable import (
     ShardChain,
     ShardStore,
     StoreIO,
+    _check_storable,
     _encode_record,
     _fds_from_json,
     _fds_to_json,
+    _FORMAT,
+    _frame,
     _read_manifest,
     _schema_from_json,
     _schema_log_records,
     _schema_to_json,
     _sessions_to_snapshot,
     _ShardWal,
-    _snapshot_payload,
     _write_fsync,
     _write_manifest,
     read_chain,
@@ -609,9 +611,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         self._replica_stores: List[ShardStore] = []
         for index, replica in enumerate(replicas):
             store = replica if isinstance(replica, ShardStore) else ShardStore(replica)
-            if any(s.label == store.label for s in self._replica_stores):
-                store.label = f"{store.label}-{index}"
-            self._replica_stores.append(store)
+            taken = [s.label for s in self._replica_stores]
+            self._replica_stores.append(replication.labeled(store, taken, index))
         manifest = None if self._store is None else _read_manifest(self.root)
         epoch = int(manifest.get("epoch", 0)) if manifest else 0
         if epoch > 0 and manifest.get("schema"):
@@ -828,14 +829,12 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         transform re-derives exactly the rows the crashed process had
         built.  ``chains`` are the current shards' chains, already
         read; only retired sources are read here.  Returns ``{scheme:
-        attribute-keyed rows}`` for the rolled-forward shards only."""
-        try:
-            op = evolution_op_from_json(record["op"])
-            old_schema = _schema_from_json(record["old_schema"])
-        except (KeyError, ReproError) as exc:  # pragma: no cover - defensive
-            _log.warning("unusable schema.log record (%s); skipping "
-                         "roll-forward", exc)
-            return {}
+        attribute-keyed rows}`` for the rolled-forward shards only.  A
+        void chain is never rebuilt: a void shard opens void, and when
+        a source is void its rows are lost, so every shard behind opens
+        void with it (its chain stands in for theirs)."""
+        op = evolution_op_from_json(record["op"])
+        old_schema = _schema_from_json(record["old_schema"])
         sources = list(op.structural_schemes(old_schema))
         if not sources:
             return {}  # cover-only op (add-fd/drop-fd): rows unchanged
@@ -846,6 +845,7 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             name
             for name in targets
             if name in chains
+            and not chains[name].void
             and (
                 chains[name].generation is None
                 or chains[name].epoch < self.schema_version
@@ -856,6 +856,9 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         capture: Dict[str, List[Dict[str, object]]] = {}
         for src in sources:
             chain = chains.get(src) or self._read_chain(src, self._store)
+            if chain.void:
+                chains.update(dict.fromkeys(behind, chain))
+                return {}
             attrs = old_schema[src].attributes.names
             capture[src] = [dict(zip(attrs, values)) for values in chain.rows]
         migrated = op.migrate_relations(old_schema, capture)
@@ -882,8 +885,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         On an evolved store, shards whose snapshot predates the
         manifest epoch are **rolled forward** first
         (:meth:`_roll_forward`), then snapshotted at the new epoch and
-        the retired source directories removed — the finalize the
-        crashed evolution never completed.
+        the retired source directories removed (kept while a shard is
+        void) — the finalize the crashed evolution never completed.
         """
         chains = {
             name: self._read_chain(name, shard.store)
@@ -931,7 +934,9 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         # same write order the crashed evolve was following)
         for name in sorted(rolled):
             self._snapshot_locked(name)
-        if self.schema_version > 0:
+        # a void shard may yet need the sources to roll forward from
+        voids = any(shard.void for shard in self._shards.values())
+        if self.schema_version > 0 and not voids:
             stores, live = (self._store, *self._replica_stores), self._shards
             retired = {n for s in stores for n in s.retired_dirs(live)}
             for name in sorted(retired):
@@ -1229,17 +1234,13 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         WAL before the cut, which the WAL's I/O lock orders after any
         in-flight commit; other shards are not involved."""
         shard = self._shard(name)
-        rows = [list(t.values) for t in shard.rows()]
+        rows = [t.values for t in shard.rows()]
         self._fault("snapshot.begin")
-        payload = _snapshot_payload(
-            name,
-            shard.scheme.attributes.names,
-            rows,
-            self.schema_version,
-            sessions=_sessions_to_snapshot(shard.sessions)
-            if shard.sessions
-            else None,
-        )
+        payload = _frame({
+            "format": _FORMAT, "scheme": name, "epoch": self.schema_version,
+            "attributes": shard.scheme.attributes.names,
+            "sessions": _sessions_to_snapshot(shard.sessions), "tuples": rows,
+        })
         shard.store.write_snapshot(
             name, payload, self.SNAPSHOT_GENERATIONS, self._fault
         )
@@ -1482,8 +1483,13 @@ class ShardedWeakInstanceService(WindowQueryAPI):
         violating state changes nothing).  With a store the load then
         snapshots every shard — bulk ingests skip the WAL entirely (one
         snapshot is cheaper and the load is already atomic on disk once
-        every shard's snapshot is installed)."""
+        every shard's snapshot is installed).  A value a store may not
+        hold raises :class:`ReproError` before anything applies."""
         self._ensure_open()
+        if self._store is not None:
+            for _scheme, relation in state:
+                for t in relation.tuples:
+                    _check_storable(t.values)
         shards = self._shards
         with ExitStack() as stack:
             for name in sorted(shards):
@@ -1919,7 +1925,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
                     # legal suffix loss
                     dropped = self._drop_staged(shard.wal)
                     chain = self._read_chain(name, shard.store)
-                    if chain.void:
+                    # a void shard's base is lost: its WAL alone is none
+                    if chain.void or (shard.void and chain.generation is None):
                         raise ReproError(
                             f"shard {name!r}: no readable snapshot "
                             f"generation ({chain.bad_generations} corrupt); "
@@ -2052,7 +2059,8 @@ class ShardedWeakInstanceService(WindowQueryAPI):
             with shard.wal.io_lock:
                 self._fault("rejoin.begin")
                 before = store.chain_summary(name)
-                replication.add_target(self, shard, store)
+                # under a free label: the report names the one it got
+                store = replication.add_target(self, shard, store).store
                 shard.demoted = None
                 self.stats.rejoins += 1
                 self._fault("rejoin.done")

@@ -241,7 +241,7 @@ class FaultyIO(StoreIO):
             self.events.append(("read.flip", str(path), f"byte {index}"))
         return data
 
-    def snapshot_write(self, path: pathlib.Path, payload: str) -> None:
+    def snapshot_write(self, path: pathlib.Path, payload: bytes) -> None:
         rule = self._check("snapshot.write", path)
         if rule is not None:
             self._raise("snapshot.write", rule)

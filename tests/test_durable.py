@@ -11,6 +11,8 @@ and rejects corruption, snapshots rotate the WAL, counters surface in
 
 import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -163,12 +165,19 @@ class TestWalLifecycle:
         with pytest.raises(ReproError, match="written for schemes"):
             DurableShardedService(other_schema, other_fds, tmp_path / "d")
 
-    def test_snapshot_file_is_plain_json(self, chain2, tmp_path):
+    def test_snapshot_file_is_one_frame(self, chain2, tmp_path):
         schema, fds = chain2
         with DurableShardedService(schema, fds, tmp_path / "d") as svc:
             svc.insert("R1", ("a1", "b1"))
             svc.snapshot("R1")
-            snap = json.loads(svc.snapshot_path("R1").read_text())
+            data = svc.snapshot_path("R1").read_bytes()
+        # [u32 length][u32 crc32][JSON object], the WAL's frame, and
+        # nothing after it
+        length, crc = struct.unpack_from("<II", data)
+        payload = data[8:]
+        assert length == len(payload) and crc == zlib.crc32(payload)
+        snap = json.loads(payload)
+        assert "crc" not in snap
         assert snap["scheme"] == "R1"
         assert sorted(snap["attributes"]) == ["A1", "A2"]
         assert [tuple(v) for v in snap["tuples"]] == [("a1", "b1")]

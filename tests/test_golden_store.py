@@ -21,37 +21,37 @@ from repro.workloads.schemas import disjoint_star_schema
 GOLDEN = {
     "primary": {
         "MANIFEST.json":
-            "b0f6b77e200c3e72ba392f13d658ebcf4636b7ac490c3731a5c83a79211d29c0",
+            "c7a4a38d439e03d7624b68f3e7dad00330a0f5d850f55934cb53c287bb2ffc72",
         "schema.log":
             "072c7c7bd79f54379c205ea7516ef4e4184e292c515c99b08a8f0815bf678003",
         "shards/R1/snapshot.json":
-            "821c0cb599f224f664e8bdee48ec67e4ca2dac4a76d8ccaf9f279f56f17e2025",
+            "f4ecf927eae825f3befd1539c9d1e0df354c3ed471f44b8777a1ea5f7bb5108b",
         "shards/R1/snapshot.json.1":
-            "8e2de5f3a0ee667e937c1ece71a8a523367ca955ac7fbde01d6be390c56f7fde",
+            "f3161719b63e9e02b3fb646e9a1e79b6242e067285946fcf1777d00937af0fdc",
         "shards/R1/wal.log":
             "5ebc67c7773280e9be6fab5e74ea7027b4e3eedff8705bd1ab101e16935da4a7",
         "shards/R2a/snapshot.json":
-            "cc47c5f006513674de425b559ac211263a07c0ca7cb8723b7a84948cd7e009c6",
+            "3329b273c5acd56ef07af669905c390ea0820248e2457313fa3d12c83b23b809",
         "shards/R2a/wal.log":
             "74bf5c61953e93443f3e675db68901d88bfef5f8cf669750027bab45b9fb1ee0",
         "shards/R2b/snapshot.json":
-            "1f17936230b5b499ba9456a28806075cc56ba49fa0cc20413d57891cc8748b81",
+            "613e02f7bcbb167d642bca3237545a0f695fd17681357b49aee5e7333eff7905",
         "shards/R2b/wal.log":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "replica": {
         "shards/R1/snapshot.json":
-            "821c0cb599f224f664e8bdee48ec67e4ca2dac4a76d8ccaf9f279f56f17e2025",
+            "f4ecf927eae825f3befd1539c9d1e0df354c3ed471f44b8777a1ea5f7bb5108b",
         "shards/R1/snapshot.json.1":
-            "d3ffa14be87f76cb001df21d5c5e96b32c546819d04d95442c677c39cc39e5b9",
+            "6aa77a534c2650f2d584c168f98c8a04e6255a326f176aa8be7892feabd4f0fa",
         "shards/R1/wal.log":
             "5ebc67c7773280e9be6fab5e74ea7027b4e3eedff8705bd1ab101e16935da4a7",
         "shards/R2a/snapshot.json":
-            "cc47c5f006513674de425b559ac211263a07c0ca7cb8723b7a84948cd7e009c6",
+            "3329b273c5acd56ef07af669905c390ea0820248e2457313fa3d12c83b23b809",
         "shards/R2a/wal.log":
             "74bf5c61953e93443f3e675db68901d88bfef5f8cf669750027bab45b9fb1ee0",
         "shards/R2b/snapshot.json":
-            "1f17936230b5b499ba9456a28806075cc56ba49fa0cc20413d57891cc8748b81",
+            "613e02f7bcbb167d642bca3237545a0f695fd17681357b49aee5e7333eff7905",
         "shards/R2b/wal.log":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
